@@ -173,6 +173,49 @@ let test_prob_counter_converges () =
   Alcotest.(check bool) "low bit near 0.5" true
     (Float.abs (p.(Netlist.net_index c.(0)) -. 0.5) < 0.01)
 
+(* Prob.empirical claims estimates that do not depend on [jobs] or on
+   how vectors are packed into strips.  A sequential netlist over ~1100
+   vectors spans several strips; sharded and single-domain runs must
+   agree exactly, and both must equal a per-vector scalar Sim count
+   drawn from the same split generators. *)
+let test_empirical_matches_scalar () =
+  let nl = Netlist.create ~name:"emp" in
+  let a = Netlist.input nl "a" and b = Netlist.input nl "b" in
+  let en = Netlist.input nl "en" in
+  let c = Bus.counter nl ~width:3 ~enable:en in
+  let q = Netlist.dff nl ~init:true (Netlist.xor_ nl a (Netlist.and_ nl b c.(1))) in
+  Netlist.output nl "o" (Netlist.mux nl ~sel:q ~t0:(Netlist.nor_ nl a b) ~t1:c.(2));
+  Netlist.output nl "hit" (Bus.eq_const nl c 5);
+  Netlist.finalise nl;
+  let seed = 0x5eed and vectors = 1100 and cycles = 5 in
+  let p1 = Prob.empirical ~cycles ~jobs:1 ~seed ~vectors nl in
+  let p3 = Prob.empirical ~cycles ~jobs:3 ~seed ~vectors nl in
+  Alcotest.(check bool) "jobs 1 = jobs 3" true (p1 = p3);
+  let module Sim = Thr_gates.Sim in
+  let module Prng = Thr_util.Prng in
+  let names = Netlist.input_names nl in
+  let nets = Netlist.nets_in_order nl in
+  let counts = Array.make (Netlist.n_nets nl) 0 in
+  let prng = Prng.create ~seed in
+  let sim = Sim.create nl in
+  for _ = 1 to vectors do
+    let g = Prng.split prng in
+    Sim.reset sim;
+    for _ = 1 to cycles do
+      List.iter (fun nm -> Sim.set_input sim nm (Prng.bool g)) names;
+      Sim.clock sim;
+      Array.iter
+        (fun net ->
+          if Sim.peek sim net then
+            let i = Netlist.net_index net in
+            counts.(i) <- counts.(i) + 1)
+        nets
+    done
+  done;
+  let samples = float_of_int (vectors * cycles) in
+  let scalar = Array.map (fun c -> float_of_int c /. samples) counts in
+  Alcotest.(check (array (float 0.0))) "strips = scalar Sim" scalar p1
+
 let seeded_harnesses () =
   [
     ( "fig2a",
@@ -433,6 +476,8 @@ let () =
           Alcotest.test_case "probability model" `Quick test_prob_model;
           Alcotest.test_case "counter converges" `Quick test_prob_counter_converges;
           Alcotest.test_case "flags seeded trojans" `Quick test_rare_flags_seeded_trojans;
+          Alcotest.test_case "empirical = scalar Sim (any jobs)" `Quick
+            test_empirical_matches_scalar;
         ] );
       ( "elaborations",
         [
