@@ -500,7 +500,7 @@ let sim_netlists () =
 type sim_row = {
   sim_bench : string;
   sim_nets : int;
-  sim_mode : string;      (** scalar | packed | strips | incremental | fault-packed *)
+  sim_mode : string;      (** scalar | strips | fault-packed *)
   sim_activity : float;   (** input toggle probability of the stimulus *)
   sim_vps : float;        (** vectors/s, one domain *)
 }
@@ -516,13 +516,8 @@ let sim_verify name nl =
   let check = P.batch ~prng ~cycles 200 in
   let lazy_check = P.batch ~prng ~cycles ~activity:0.2 200 in
   let oracle = P.run_reference nl check in
-  assert (P.equal_outputs (P.run (P.create nl) check) oracle);
-  assert (P.equal_outputs (P.run_sharded ~jobs:(max 2 !jobs) nl check) oracle);
+  assert (P.equal_outputs (P.run_strips ~words:1 nl check) oracle);
   assert (P.equal_outputs (P.run_strips ~words:strip_words nl check) oracle);
-  assert (
-    P.equal_outputs
-      (P.run_strips ~words:strip_words ~incremental:true nl check)
-      oracle);
   assert (
     P.equal_outputs
       (P.run_strips ~jobs:(max 2 !jobs) ~words:strip_words nl check)
@@ -530,7 +525,7 @@ let sim_verify name nl =
   let lazy_oracle = P.run_reference nl lazy_check in
   assert (
     P.equal_outputs
-      (P.run_strips ~words:strip_words ~incremental:true nl lazy_check)
+      (P.run_strips ~words:strip_words nl lazy_check)
       lazy_oracle);
   (* mutant enables: force the first two inputs to distinct lane words *)
   let forced =
@@ -558,19 +553,15 @@ let sim_measure (name, rtl) =
   (* smaller batch for the scalar engine so one rep stays sub-second on
      the large netlists; rates are per-vector so they stay comparable *)
   let scalar_n = P.lanes * 4 in
-  let packed_n = P.lanes * 64 in
   let strips_n = P.lanes * strip_words * 16 in
   let row mode activity vps =
     { sim_bench = name; sim_nets = nets; sim_mode = mode;
       sim_activity = activity; sim_vps = vps }
   in
-  let sim = P.create nl in
   let batch n act = P.batch ~prng ~cycles ~activity:act n in
-  let strips_rate ~incremental act =
+  let strips_rate act =
     let b = batch strips_n act in
-    rate
-      (fun () -> ignore (P.run_strips ~words:strip_words ~incremental nl b))
-      strips_n
+    rate (fun () -> ignore (P.run_strips ~words:strip_words nl b)) strips_n
   in
   let forced =
     match Array.to_list (P.tape_inputs (P.tape nl)) with
@@ -582,14 +573,8 @@ let sim_measure (name, rtl) =
     row "scalar" 1.0
       (let b = batch scalar_n 1.0 in
        rate (fun () -> ignore (P.run_reference nl b)) scalar_n);
-    row "packed" 1.0
-      (let b = batch packed_n 1.0 in
-       rate (fun () -> ignore (P.run sim b)) packed_n);
-    row "strips" 1.0 (strips_rate ~incremental:false 1.0);
-    row "strips" 0.05 (strips_rate ~incremental:false 0.05);
-    row "incremental" 1.0 (strips_rate ~incremental:true 1.0);
-    row "incremental" 0.25 (strips_rate ~incremental:true 0.25);
-    row "incremental" 0.05 (strips_rate ~incremental:true 0.05);
+    row "strips" 1.0 (strips_rate 1.0);
+    row "strips" 0.05 (strips_rate 0.05);
     (* one tape pass per cycle simulates [lanes] trojan on/off variants *)
     row "fault-packed" 1.0
       (rate
@@ -640,30 +625,30 @@ let sim () =
   if !min_speedup > 0.0 then begin
     (* enforce on the largest netlist: the strip engine exists to
        amortise per-instruction dispatch and per-lane stimulus, which
-       dominate there.  The reference point is the packed engine as it
-       stood before the strip rung (fir16 single-domain, recorded in
-       BENCH_solvers.json schema 3), so the gate measures the rung
-       itself rather than a same-run ratio that the shared fast
+       dominate there.  The reference point is the one-word packed
+       engine as it stood before strips (fir16 single-domain, recorded
+       in BENCH_solvers.json schema 3), so the gate measures the strip
+       engine itself rather than a same-run ratio that the shared fast
        stimulus path would flatten. *)
     let pre_strip_packed_vps = 24525.5 in
-    let vps bench mode =
+    match
       List.find_map
         (fun r ->
-          if r.sim_bench = bench && r.sim_mode = mode && r.sim_activity = 1.0
+          if r.sim_bench = "fir16" && r.sim_mode = "strips"
+             && r.sim_activity = 1.0
           then Some r.sim_vps
           else None)
         rows
-    in
-    match (vps "fir16" "strips", vps "fir16" "packed") with
-    | None, _ | _, None ->
-        Format.printf "--min-speedup: no fir16 strips/packed rows measured@.";
+    with
+    | None ->
+        Format.printf "--min-speedup: no fir16 strips row measured@.";
         exit 1
-    | Some strips, Some packed ->
+    | Some strips ->
         let s = strips /. pre_strip_packed_vps in
         Format.printf
           "fir16 strips: %.3g v/s = %.1fx the pre-strip packed engine \
-           (%.3g v/s recorded; same-run packed now %.3g v/s)@."
-          strips s pre_strip_packed_vps packed;
+           (%.3g v/s recorded)@."
+          strips s pre_strip_packed_vps;
         if s < !min_speedup then begin
           Format.printf
             "FAIL: strips speedup %.1fx on fir16 below required %.1fx@." s
@@ -938,14 +923,16 @@ let json () =
   let service = json_service_pass () in
   let doc =
     J.Obj
-      [ (* 4: "sim" becomes per-mode rows (scalar / packed / strips /
+      [ (* 5: the "packed" and "incremental" sim modes are gone with
+           their engines; rows are scalar / strips / fault-packed.
+           4: "sim" becomes per-mode rows (scalar / packed / strips /
            incremental / fault-packed) with an activity column, replacing
            the scalar/packed/sharded triple.
            3: ILP sides gain LU/cut counters, warm_hit_rate is the share
            of node LPs warm-started (was warm/(warm+cold) solve mix), and
            floats are rounded to 6 significant digits.
            2: per-row "metrics" registry deltas; 1: no such field *)
-        ("schema", J.Int 4);
+        ("schema", J.Int 5);
         ("rows", J.List (List.map fst results));
         ( "summary",
           J.Obj

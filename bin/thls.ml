@@ -368,27 +368,6 @@ let simulate_cmd =
       & info [ "record-depth" ] ~docv:"CYCLES"
           ~doc:"Flight-recorder ring depth for --record.")
   in
-  let strip_words_flag =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "strip-words" ] ~docv:"S"
-          ~doc:
-            "Lane-strip width for the --vectors co-simulation: each \
-             simulation pass carries $(docv) 63-vector lane words (1, 2, \
-             4 or 8).  Default: adaptive — 8 for batches wider than one \
-             lane word, 1 otherwise.  The result is bit-identical for \
-             every width.")
-  in
-  let incremental_flag =
-    Arg.(
-      value & flag
-      & info [ "incremental" ]
-          ~doc:
-            "Use event-driven incremental evaluation for the --vectors \
-             co-simulation: per-cycle settles only re-evaluate the fanout \
-             cones of changed nets.  Bit-identical to full evaluation.")
-  in
   let mutants_flag =
     Arg.(
       value & flag
@@ -403,7 +382,7 @@ let simulate_cmd =
              decoy control fires.")
   in
   let run name cat latency latency_recover area runs seed vectors jobs trace
-      record mutant width depth strip_words incremental mutants =
+      record mutant width depth mutants =
     match (find_dfg name, catalog_of_string cat) with
     | Error e, _ | _, Error e ->
         prerr_endline e;
@@ -432,8 +411,7 @@ let simulate_cmd =
                 Format.printf "%a@." T.Campaign.pp_result result;
                 if vectors > 0 then begin
                   let cs =
-                    T.Campaign.cosim ~config ~jobs ?strip_words ~incremental
-                      ~prng ~vectors design
+                    T.Campaign.cosim ~config ~jobs ~prng ~vectors design
                   in
                   if T.Campaign.cosim_ok cs then
                     Format.printf
@@ -473,7 +451,7 @@ let simulate_cmd =
       const run $ bench_arg $ catalog_flag $ latency_flag $ latency_rec_flag
       $ area_flag $ runs_flag $ seed_flag $ vectors_flag $ jobs_flag
       $ trace_flag $ record_flag $ mutant_flag $ width_flag $ depth_flag
-      $ strip_words_flag $ incremental_flag $ mutants_flag)
+      $ mutants_flag)
 
 let postmortem_cmd =
   let doc = "Render a postmortem bundle written by simulate --record." in

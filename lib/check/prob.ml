@@ -217,12 +217,12 @@ let signal_probabilities ?(iters = default_iters) nl =
   p
 
 (* Monte-Carlo cross-check of the analytic model above: simulate random
-   vectors on the multi-word strip engine and count how often each net
+   vectors on 8-word gate-engine strips and count how often each net
    is 1.  One generator per vector is split off up front (sequentially),
    each strip chunk copies its generators before drawing, and shard
    counts are plain sums — so the estimate is bit-identical for any
    [jobs] and any lane/strip packing. *)
-let empirical_words = 4
+let empirical_words = 8
 
 let empirical ?(cycles = 8) ?(jobs = 1) ~seed ~vectors nl =
   if vectors < 1 then invalid_arg "Prob.empirical: vectors < 1";
@@ -251,8 +251,8 @@ let empirical ?(cycles = 8) ?(jobs = 1) ~seed ~vectors nl =
       for _ = 1 to cycles do
         (* inputs change every cycle, so each edge needs both settles:
            one for the comb cone under the new inputs, one after the
-           latch — same count as the legacy clock, but each pass now
-           carries [empirical_words] lane words of vectors *)
+           latch — a full Sim.clock, but each pass carries
+           [empirical_words] lane words of vectors *)
         List.iter
           (fun id ->
             for w = 0 to wu - 1 do

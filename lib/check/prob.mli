@@ -56,11 +56,11 @@ val empirical :
   float array
 (** Monte-Carlo estimate of the same per-net P(1): simulate [vectors]
     independent random excitations of [cycles] (default 8) clock edges
-    each on the bit-parallel {!Thr_gates.Packed} engine, sampling every
-    net after every edge.  Deterministic in [seed] — one generator per
+    each on 8-word {!Thr_gates.Packed.strip}s, sampling every net
+    after every edge.  Deterministic in [seed] — one generator per
     vector is split off up front and shard counts are plain sums, so
     the result is bit-identical for any [jobs] (lane-word-aligned
-    {!Thr_util.Dpool} fan-out) and any lane packing.
+    {!Thr_util.Dpool} fan-out) and any strip packing.
 
     This is the cross-check behind [thls lint --empirical]: the analytic
     model above can be fooled in both directions (correlation it does

@@ -27,7 +27,7 @@ let popcount w =
 (* ---------------------------- the tape ----------------------------- *)
 
 (* Opcodes of the instruction tape.  D_input nets are not compiled (their
-   values are written by set_input and retained); D_const nets are poked
+   values are written by strip_poke and retained); D_const nets are poked
    into the state once at reset instead of re-evaluated every pass. *)
 let op_not = 0
 
@@ -215,120 +215,6 @@ let tape_dff_init tp k = tp.t_dff_init.(k) <> 0
 
 let tape_inputs tp = Array.copy tp.t_input_nets
 
-(* ------------------------------ state ------------------------------ *)
-
-type t = {
-  tp : tape;
-  values : int array; (* lane word per net *)
-  dffs : int array;   (* lane word per DFF *)
-  ins : (string, int) Hashtbl.t; (* shared read-only name table *)
-}
-
-let apply_consts t =
-  let net = t.tp.t_const_net and v = t.tp.t_const_val in
-  for i = 0 to Array.length net - 1 do
-    t.values.(net.(i)) <- v.(i)
-  done
-
-let of_tape tp =
-  let t =
-    {
-      tp;
-      values = Array.make (Netlist.n_nets tp.t_nl) 0;
-      dffs = Array.copy tp.t_dff_init;
-      ins = Netlist.input_index tp.t_nl;
-    }
-  in
-  apply_consts t;
-  t
-
-let create nl = of_tape (tape nl)
-
-let netlist t = t.tp.t_nl
-
-let reset t =
-  Array.fill t.values 0 (Array.length t.values) 0;
-  apply_consts t;
-  Array.blit t.tp.t_dff_init 0 t.dffs 0 (Array.length t.dffs)
-
-let set_input t nm w =
-  match Hashtbl.find_opt t.ins nm with
-  | Some i -> t.values.(i) <- w
-  | None -> invalid_arg (Printf.sprintf "Packed.set_input: unknown input %S" nm)
-
-(* The hot loop: one int match per instruction (a jump table), unsafe
-   array accesses (indices come from the compiled tape), every bitwise
-   op evaluating all lanes at once.  [lnot] pollutes the unused high
-   lanes with ones; that is deliberate — only active lanes are ever
-   read out, and masking per instruction would double the work. *)
-let settle t =
-  let tp = t.tp in
-  let v = t.values and dffs = t.dffs in
-  let code = tp.t_code
-  and aa = tp.t_a
-  and bb = tp.t_b
-  and cc = tp.t_c
-  and dst = tp.t_dst in
-  for i = 0 to Array.length code - 1 do
-    let a = Array.unsafe_get aa i in
-    let x =
-      match Array.unsafe_get code i with
-      | 0 -> lnot (Array.unsafe_get v a)
-      | 1 ->
-          Array.unsafe_get v a land Array.unsafe_get v (Array.unsafe_get bb i)
-      | 2 ->
-          Array.unsafe_get v a lor Array.unsafe_get v (Array.unsafe_get bb i)
-      | 3 ->
-          Array.unsafe_get v a lxor Array.unsafe_get v (Array.unsafe_get bb i)
-      | 4 ->
-          lnot
-            (Array.unsafe_get v a
-            land Array.unsafe_get v (Array.unsafe_get bb i))
-      | 5 ->
-          lnot
-            (Array.unsafe_get v a
-            lor Array.unsafe_get v (Array.unsafe_get bb i))
-      | 6 ->
-          let s = Array.unsafe_get v a in
-          Array.unsafe_get v (Array.unsafe_get cc i) land s
-          lor (Array.unsafe_get v (Array.unsafe_get bb i) land lnot s)
-      | _ -> Array.unsafe_get dffs a
-    in
-    Array.unsafe_set v (Array.unsafe_get dst i) x
-  done
-
-let clock t =
-  settle t;
-  let v = t.values and dffs = t.dffs and src = t.tp.t_dff_src in
-  for k = 0 to Array.length dffs - 1 do
-    Array.unsafe_set dffs k (Array.unsafe_get v (Array.unsafe_get src k))
-  done;
-  (* expose the new state combinationally, like Sim.clock *)
-  settle t
-
-let peek t net = t.values.(Netlist.net_index net)
-
-let peek_lane t net lane = (peek t net lsr lane) land 1 = 1
-
-let peek_index t i = t.values.(i)
-
-(* probe hook for the flight recorder: one bounds-checked bulk read per
-   cycle instead of a [peek] per watched net *)
-let sample t nets dst =
-  let n = Array.length nets in
-  if Array.length dst <> n then invalid_arg "Packed.sample: width mismatch";
-  for i = 0 to n - 1 do
-    dst.(i) <- t.values.(nets.(i))
-  done
-
-let output t nm =
-  match Netlist.find_output t.tp.t_nl nm with
-  | n -> peek t n
-  | exception Not_found ->
-      invalid_arg (Printf.sprintf "Packed.output: unknown output %S" nm)
-
-let dff_state t = Array.copy t.dffs
-
 (* ----------------------------- batches ----------------------------- *)
 
 type batch = {
@@ -384,9 +270,9 @@ let[@inline] stim_word b w c k =
 (* One stimulus bit for one vector of the hold stream (activity < 1.0):
    a float draw decides between a fresh bool and holding [prev] (inputs
    power on at 0, so the first cycle's "previous" value is false).
-   Every engine — legacy lanes, strips, incremental, and the scalar
-   reference — derives low-activity stimulus this way, per vector, so
-   it too is engine-independent by construction. *)
+   Strips of either width and the scalar reference both derive
+   low-activity stimulus this way, per vector, so it too is
+   independent of the packing by construction. *)
 let[@inline] stimulus_bit g activity prev =
   if Prng.float g 1.0 < activity then Prng.bool g else prev
 
@@ -400,105 +286,12 @@ let equal_outputs x y =
   && Array.length x.out_bits = Array.length y.out_bits
   && Array.for_all2 (fun a b -> a = b) x.out_bits y.out_bits
 
-(* Simulate vectors [lo, hi) of the batch into rows [lo, hi) of [bits],
-   lanes lanes at a time.  Generators are copied, so the batch stays
-   reusable and other shards' entries are untouched. *)
-let run_into t b bits lo hi =
-  let tp = t.tp in
-  let n_in = Array.length tp.t_input_nets in
-  let n_out = Array.length tp.t_out_nets in
-  let act = b.b_activity in
-  let j = ref lo in
-  while !j < hi do
-    let count = min lanes (hi - !j) in
-    let word = !j / lanes in
-    reset t;
-    let gens =
-      if act >= 1.0 then [||]
-      else Array.init count (fun k -> Prng.copy b.b_gens.(!j + k))
-    in
-    for c = 1 to b.b_cycles do
-      for ii = 0 to n_in - 1 do
-        let _, net = tp.t_input_nets.(ii) in
-        if act >= 1.0 then t.values.(net) <- stim_word b word c ii
-        else begin
-          let prev = t.values.(net) in
-          let w = ref 0 in
-          for k = 0 to count - 1 do
-            if stimulus_bit gens.(k) act ((prev lsr k) land 1 = 1) then
-              w := !w lor (1 lsl k)
-          done;
-          t.values.(net) <- !w
-        end
-      done;
-      clock t
-    done;
-    for k = 0 to count - 1 do
-      let row = bits.(!j + k) in
-      for oi = 0 to n_out - 1 do
-        let _, net = tp.t_out_nets.(oi) in
-        row.(oi) <- (t.values.(net) lsr k) land 1 = 1
-      done
-    done;
-    j := !j + count
-  done
-
 let observe_throughput n t0 =
   Metrics.add vectors_total n;
   let dt = (Trace.now_us () -. t0) /. 1e6 in
   if n > 0 && dt > 0.0 then Metrics.observe vps_hist (float_of_int n /. dt)
 
 let out_names_of tp = Array.map fst tp.t_out_nets
-
-let run t b =
-  let n = b.b_n in
-  Trace.with_span "sim.run"
-    ~args:
-      [
-        ("netlist", Netlist.name t.tp.t_nl); ("vectors", string_of_int n);
-      ]
-    (fun () ->
-      let n_out = Array.length t.tp.t_out_nets in
-      let bits = Array.init n (fun _ -> Array.make n_out false) in
-      let t0 = Trace.now_us () in
-      run_into t b bits 0 n;
-      observe_throughput n t0;
-      { out_names = out_names_of t.tp; out_bits = bits })
-
-let run_sharded ?(jobs = 1) nl b =
-  let tp = tape nl in
-  let n = b.b_n in
-  if jobs <= 1 || n <= lanes then run (of_tape tp) b
-  else
-    Trace.with_span "sim.run"
-      ~args:
-        [
-          ("netlist", Netlist.name nl);
-          ("vectors", string_of_int n);
-          ("jobs", string_of_int jobs);
-        ]
-      (fun () ->
-        let n_out = Array.length tp.t_out_nets in
-        let bits = Array.init n (fun _ -> Array.make n_out false) in
-        (* contiguous word-aligned shards, a couple per domain for
-           balance; rows are disjoint so domains never share a cell *)
-        let words = (n + lanes - 1) / lanes in
-        let shards = min words (jobs * 2) in
-        let per = (words + shards - 1) / shards in
-        let ranges =
-          List.init shards (fun s ->
-              let lo = s * per * lanes in
-              (lo, min n (lo + (per * lanes))))
-          |> List.filter (fun (lo, hi) -> lo < hi)
-        in
-        let t0 = Trace.now_us () in
-        Dpool.run ~jobs (fun pool ->
-            ignore
-              (Dpool.map pool
-                 (fun (lo, hi) -> run_into (of_tape tp) b bits lo hi)
-                 ranges));
-        observe_throughput n t0;
-        { out_names = out_names_of tp; out_bits = bits })
 
 let run_reference nl b =
   Netlist.finalise nl;
@@ -539,33 +332,21 @@ let run_reference nl b =
    level-l instruction are strictly below l, so any intra-level order
    evaluates identically — and segments let the settle kernel dispatch
    on the opcode once per run of instructions instead of once per
-   instruction, which is where the legacy loop burns its time on big
-   netlists.  Operand/destination indices are pre-scaled by [S]. *)
-
-let strip_widths = [ 1; 2; 4; 8 ]
+   instruction.  Operand/destination indices are pre-scaled by [S]. *)
 
 type stape = {
   s_tp : tape;
   s_words : int;
-  s_op : int array;    (* opcode per sorted instruction *)
   s_a : int array;     (* operand offsets, pre-scaled by s_words;
                           op_dff: DFF table index * s_words *)
   s_b : int array;
   s_c : int array;
   s_d : int array;     (* destination offset, pre-scaled *)
-  s_d0 : int array;    (* destination net index, unscaled (reader CSR key) *)
-  s_level : int array; (* level per sorted instruction *)
   s_seg_op : int array;
   s_seg_lo : int array;
   s_seg_hi : int array; (* exclusive *)
-  s_n_levels : int;
-  s_level_count : int array; (* instructions per level (queue capacity) *)
-  s_r_off : int array; (* CSR: readers of net n are
-                          s_r_dat.[s_r_off.(n), s_r_off.(n+1)) *)
-  s_r_dat : int array; (* sorted-instruction indices *)
   s_dff_src : int array;   (* data-net offset per DFF, pre-scaled *)
   s_dff_init : int array;  (* power-on lane word per DFF *)
-  s_dff_instr : int array; (* DFF k -> its op_dff sorted index, or -1 *)
   s_const_net : int array; (* pre-scaled *)
   s_const_val : int array;
 }
@@ -578,7 +359,6 @@ let compile_strip tp s =
       Metrics.incr compiles;
       let n = Array.length tp.t_code in
       let n_nets = Netlist.n_nets tp.t_nl in
-      let n_dffs = Array.length tp.t_dff_src in
       (* per-net then per-instruction levels: inputs, constants and DFF
          outputs are level 0, combinational nets 1 + max over operands *)
       let net_level = Array.make n_nets 0 in
@@ -597,13 +377,6 @@ let compile_strip tp s =
         ilevel.(i) <- lvl;
         net_level.(tp.t_dst.(i)) <- lvl
       done;
-      let n_levels =
-        let m = ref 1 in
-        for i = 0 to n - 1 do
-          if ilevel.(i) + 1 > !m then m := ilevel.(i) + 1
-        done;
-        !m
-      in
       (* stable (level, opcode) sort via encoded integer keys *)
       let keys =
         Array.init n (fun i ->
@@ -611,114 +384,51 @@ let compile_strip tp s =
       in
       Array.sort compare keys;
       let perm = Array.map (fun k -> k mod n) keys in
-      let s_op = Array.make n 0 in
-      let s_a = Array.make n 0 in
-      let s_b = Array.make n 0 in
-      let s_c = Array.make n 0 in
-      let s_d = Array.make n 0 in
-      let s_d0 = Array.make n 0 in
-      let s_level = Array.make n 0 in
-      let s_dff_instr = Array.make n_dffs (-1) in
-      let level_count = Array.make n_levels 0 in
-      for p = 0 to n - 1 do
-        let i = perm.(p) in
-        let op = tp.t_code.(i) in
-        s_op.(p) <- op;
-        s_a.(p) <- tp.t_a.(i) * s;
-        s_b.(p) <- tp.t_b.(i) * s;
-        s_c.(p) <- tp.t_c.(i) * s;
-        s_d.(p) <- tp.t_dst.(i) * s;
-        s_d0.(p) <- tp.t_dst.(i);
-        s_level.(p) <- ilevel.(i);
-        level_count.(ilevel.(i)) <- level_count.(ilevel.(i)) + 1;
-        if op = op_dff then s_dff_instr.(tp.t_a.(i)) <- p
-      done;
+      let scaled src = Array.map (fun i -> src.(i) * s) perm in
+      let op = Array.map (fun i -> tp.t_code.(i)) perm in
+      let level = Array.map (fun i -> ilevel.(i)) perm in
       (* segment boundaries: maximal runs of equal (level, opcode) *)
-      let segs = ref [] and n_segs = ref 0 in
+      let segs = ref [] in
       let p = ref 0 in
       while !p < n do
         let lo = !p in
-        let op = s_op.(lo) and lvl = s_level.(lo) in
-        while !p < n && s_op.(!p) = op && s_level.(!p) = lvl do
+        while !p < n && op.(!p) = op.(lo) && level.(!p) = level.(lo) do
           incr p
         done;
-        segs := (op, lo, !p) :: !segs;
-        incr n_segs
+        segs := (op.(lo), lo, !p) :: !segs
       done;
       let segs = Array.of_list (List.rev !segs) in
-      let seg_op = Array.map (fun (o, _, _) -> o) segs in
-      let seg_lo = Array.map (fun (_, l, _) -> l) segs in
-      let seg_hi = Array.map (fun (_, _, h) -> h) segs in
-      (* reader CSR for the event-driven mode: net -> sorted instructions
-         that read it (op_dff reads the DFF array, not a net) *)
-      let deg = Array.make (n_nets + 1) 0 in
-      let each_operand i f =
-        match tp.t_code.(i) with
-        | 7 -> ()
-        | 0 -> f tp.t_a.(i)
-        | 6 ->
-            f tp.t_a.(i);
-            f tp.t_b.(i);
-            f tp.t_c.(i)
-        | _ ->
-            f tp.t_a.(i);
-            f tp.t_b.(i)
-      in
-      for p = 0 to n - 1 do
-        each_operand perm.(p) (fun net -> deg.(net + 1) <- deg.(net + 1) + 1)
-      done;
-      for i = 1 to n_nets do
-        deg.(i) <- deg.(i) + deg.(i - 1)
-      done;
-      let r_off = Array.copy deg in
-      let r_dat = Array.make r_off.(n_nets) 0 in
-      let cursor = Array.make n_nets 0 in
-      for p = 0 to n - 1 do
-        each_operand perm.(p) (fun net ->
-            r_dat.(r_off.(net) + cursor.(net)) <- p;
-            cursor.(net) <- cursor.(net) + 1)
-      done;
+      let n_dffs = Array.length tp.t_dff_src in
       Metrics.add tape_bytes
         (8
-        * ((7 * n) + Array.length r_dat + n_nets + 1 + (3 * !n_segs)
-          + n_levels
-          + (3 * n_dffs)
+        * ((4 * n) + (3 * Array.length segs) + (2 * n_dffs)
           + (2 * Array.length tp.t_const_net)));
       {
         s_tp = tp;
         s_words = s;
-        s_op;
-        s_a;
-        s_b;
-        s_c;
-        s_d;
-        s_d0;
-        s_level;
-        s_seg_op = seg_op;
-        s_seg_lo = seg_lo;
-        s_seg_hi = seg_hi;
-        s_n_levels = n_levels;
-        s_level_count = level_count;
-        s_r_off = r_off;
-        s_r_dat = r_dat;
+        s_a = scaled tp.t_a;
+        s_b = scaled tp.t_b;
+        s_c = scaled tp.t_c;
+        s_d = scaled tp.t_dst;
+        s_seg_op = Array.map (fun (o, _, _) -> o) segs;
+        s_seg_lo = Array.map (fun (_, l, _) -> l) segs;
+        s_seg_hi = Array.map (fun (_, _, h) -> h) segs;
         s_dff_src = Array.map (fun i -> i * s) tp.t_dff_src;
         s_dff_init = Array.copy tp.t_dff_init;
-        s_dff_instr;
         s_const_net = Array.map (fun i -> i * s) tp.t_const_net;
         s_const_val = Array.copy tp.t_const_val;
       })
 
 (* Strip tapes are cached under (netlist uid, strip width) — a distinct
-   key space from the scalar cache, so alternating strip widths recompile
-   visibly (thr_sim_compiles_total / thr_sim_tape_bytes_total) instead of
+   key space from the scalar cache, so the two widths recompile visibly
+   (thr_sim_compiles_total / thr_sim_tape_bytes_total) instead of
    evicting each other silently. *)
 let scache : (int * int, stape) Hashtbl.t = Hashtbl.create 16
 
 let strip_tape nl s =
-  if not (List.mem s strip_widths) then
+  if s <> 1 && s <> 8 then
     invalid_arg
-      (Printf.sprintf "Packed.strip: words must be one of {1, 2, 4, 8} (got %d)"
-         s);
+      (Printf.sprintf "Packed.strip: words must be 1 or 8 (got %d)" s);
   let tp = tape nl in
   let key = (Netlist.uid nl, s) in
   match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt scache key) with
@@ -742,47 +452,7 @@ type strip = {
   sv : int array; (* s_words lane words per net *)
   sd : int array; (* s_words lane words per DFF *)
   s_ins : (string, int) Hashtbl.t;
-  s_inc : bool; (* event-driven mode *)
-  mutable s_live : bool; (* a full settle has run since reset *)
-  (* event-driven bookkeeping: a scheduled flag per sorted instruction
-     and one bucket per level (capacity = instructions at that level;
-     the flag makes enqueues idempotent, so it never overflows) *)
-  q_flag : Bytes.t;
-  q_buf : int array array;
-  q_len : int array;
 }
-
-let strip ?(words = 8) ?(incremental = false) nl =
-  let sp = strip_tape nl words in
-  let n = Array.length sp.s_op in
-  let st =
-    {
-      sp;
-      sv = Array.make (Netlist.n_nets nl * words) 0;
-      sd = Array.make (Array.length sp.s_dff_src * words) 0;
-      s_ins = Netlist.input_index nl;
-      s_inc = incremental;
-      s_live = false;
-      q_flag = Bytes.make (if incremental then max n 1 else 1) '\000';
-      q_buf =
-        (if incremental then
-           Array.map (fun c -> Array.make (max c 1) 0) sp.s_level_count
-         else Array.make (max sp.s_n_levels 1) [||]);
-      q_len = Array.make sp.s_n_levels 0;
-    }
-  in
-  let s = words in
-  Array.iteri
-    (fun i off -> Array.fill st.sv off s sp.s_const_val.(i))
-    sp.s_const_net;
-  for k = 0 to Array.length sp.s_dff_src - 1 do
-    Array.fill st.sd (k * s) s sp.s_dff_init.(k)
-  done;
-  st
-
-let strip_words st = st.sp.s_words
-
-let strip_netlist st = st.sp.s_tp.t_nl
 
 let strip_reset st =
   let sp = st.sp in
@@ -793,47 +463,32 @@ let strip_reset st =
     sp.s_const_net;
   for k = 0 to Array.length sp.s_dff_src - 1 do
     Array.fill st.sd (k * s) s sp.s_dff_init.(k)
-  done;
-  st.s_live <- false;
-  if st.s_inc then begin
-    Bytes.fill st.q_flag 0 (Bytes.length st.q_flag) '\000';
-    Array.fill st.q_len 0 (Array.length st.q_len) 0
-  end
-
-let[@inline] sched st p =
-  if Bytes.unsafe_get st.q_flag p = '\000' then begin
-    Bytes.unsafe_set st.q_flag p '\001';
-    let l = Array.unsafe_get st.sp.s_level p in
-    let q = Array.unsafe_get st.q_buf l in
-    Array.unsafe_set q (Array.unsafe_get st.q_len l) p;
-    Array.unsafe_set st.q_len l (Array.unsafe_get st.q_len l + 1)
-  end
-
-let[@inline] sched_readers st net =
-  let sp = st.sp in
-  let lo = Array.unsafe_get sp.s_r_off net
-  and hi = Array.unsafe_get sp.s_r_off (net + 1) in
-  for x = lo to hi - 1 do
-    sched st (Array.unsafe_get sp.s_r_dat x)
   done
 
-let strip_poke st net w v =
-  let off = (net * st.sp.s_words) + w in
-  if st.s_inc && st.s_live then begin
-    if st.sv.(off) <> v then begin
-      st.sv.(off) <- v;
-      sched_readers st net
-    end
-  end
-  else st.sv.(off) <- v
+let strip ?(words = 8) nl =
+  let sp = strip_tape nl words in
+  let st =
+    {
+      sp;
+      sv = Array.make (Netlist.n_nets nl * words) 0;
+      sd = Array.make (Array.length sp.s_dff_src * words) 0;
+      s_ins = Netlist.input_index nl;
+    }
+  in
+  strip_reset st;
+  st
 
-let strip_input_net st nm =
+let strip_words st = st.sp.s_words
+
+let strip_netlist st = st.sp.s_tp.t_nl
+
+let strip_poke st net w v = st.sv.((net * st.sp.s_words) + w) <- v
+
+let strip_set_input st nm w v =
   match Hashtbl.find_opt st.s_ins nm with
-  | Some i -> i
+  | Some i -> strip_poke st i w v
   | None ->
       invalid_arg (Printf.sprintf "Packed.strip_set_input: unknown input %S" nm)
-
-let strip_set_input st nm w v = strip_poke st (strip_input_net st nm) w v
 
 let strip_peek_index st i w = st.sv.((i * st.sp.s_words) + w)
 
@@ -844,7 +499,9 @@ let strip_peek st net w = strip_peek_index st (Netlist.net_index net) w
 (* One unrolled kernel per strip width: the opcode dispatch happens once
    per segment, the instruction loop body is straight-line code over the
    S words of each operand.  Indices come pre-scaled from the strip
-   tape; accesses are unsafe like the legacy hot loop. *)
+   tape and accesses are unsafe.  [lnot] pollutes the unused high lanes
+   with ones; that is deliberate — only active lanes are ever read out,
+   and masking per instruction would double the work. *)
 
 let settle_full_1 sp v sd =
   let sa = sp.s_a and sb = sp.s_b and sc = sp.s_c and sdst = sp.s_d in
@@ -912,211 +569,6 @@ let settle_full_1 sp v sd =
         done
   done
 
-let settle_full_2 sp v sd =
-  let sa = sp.s_a and sb = sp.s_b and sc = sp.s_c and sdst = sp.s_d in
-  let seg_op = sp.s_seg_op and seg_lo = sp.s_seg_lo and seg_hi = sp.s_seg_hi in
-  for g = 0 to Array.length seg_op - 1 do
-    let lo = Array.unsafe_get seg_lo g and hi = Array.unsafe_get seg_hi g in
-    match Array.unsafe_get seg_op g with
-    | 0 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d (lnot (Array.unsafe_get v a));
-          Array.unsafe_set v (d + 1) (lnot (Array.unsafe_get v (a + 1)))
-        done
-    | 1 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d
-            (Array.unsafe_get v a land Array.unsafe_get v b);
-          Array.unsafe_set v (d + 1)
-            (Array.unsafe_get v (a + 1) land Array.unsafe_get v (b + 1))
-        done
-    | 2 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d (Array.unsafe_get v a lor Array.unsafe_get v b);
-          Array.unsafe_set v (d + 1)
-            (Array.unsafe_get v (a + 1) lor Array.unsafe_get v (b + 1))
-        done
-    | 3 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d
-            (Array.unsafe_get v a lxor Array.unsafe_get v b);
-          Array.unsafe_set v (d + 1)
-            (Array.unsafe_get v (a + 1) lxor Array.unsafe_get v (b + 1))
-        done
-    | 4 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d
-            (lnot (Array.unsafe_get v a land Array.unsafe_get v b));
-          Array.unsafe_set v (d + 1)
-            (lnot (Array.unsafe_get v (a + 1) land Array.unsafe_get v (b + 1)))
-        done
-    | 5 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d
-            (lnot (Array.unsafe_get v a lor Array.unsafe_get v b));
-          Array.unsafe_set v (d + 1)
-            (lnot (Array.unsafe_get v (a + 1) lor Array.unsafe_get v (b + 1)))
-        done
-    | 6 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and c = Array.unsafe_get sc i
-          and d = Array.unsafe_get sdst i in
-          let s0 = Array.unsafe_get v a in
-          Array.unsafe_set v d
-            (Array.unsafe_get v c
-             land s0
-            lor (Array.unsafe_get v b land lnot s0));
-          let s1 = Array.unsafe_get v (a + 1) in
-          Array.unsafe_set v (d + 1)
-            (Array.unsafe_get v (c + 1)
-             land s1
-            lor (Array.unsafe_get v (b + 1) land lnot s1))
-        done
-    | _ ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d (Array.unsafe_get sd a);
-          Array.unsafe_set v (d + 1) (Array.unsafe_get sd (a + 1))
-        done
-  done
-
-let settle_full_4 sp v sd =
-  let sa = sp.s_a and sb = sp.s_b and sc = sp.s_c and sdst = sp.s_d in
-  let seg_op = sp.s_seg_op and seg_lo = sp.s_seg_lo and seg_hi = sp.s_seg_hi in
-  for g = 0 to Array.length seg_op - 1 do
-    let lo = Array.unsafe_get seg_lo g and hi = Array.unsafe_get seg_hi g in
-    match Array.unsafe_get seg_op g with
-    | 0 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d (lnot (Array.unsafe_get v a));
-          Array.unsafe_set v (d + 1) (lnot (Array.unsafe_get v (a + 1)));
-          Array.unsafe_set v (d + 2) (lnot (Array.unsafe_get v (a + 2)));
-          Array.unsafe_set v (d + 3) (lnot (Array.unsafe_get v (a + 3)))
-        done
-    | 1 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d
-            (Array.unsafe_get v a land Array.unsafe_get v b);
-          Array.unsafe_set v (d + 1)
-            (Array.unsafe_get v (a + 1) land Array.unsafe_get v (b + 1));
-          Array.unsafe_set v (d + 2)
-            (Array.unsafe_get v (a + 2) land Array.unsafe_get v (b + 2));
-          Array.unsafe_set v (d + 3)
-            (Array.unsafe_get v (a + 3) land Array.unsafe_get v (b + 3))
-        done
-    | 2 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d (Array.unsafe_get v a lor Array.unsafe_get v b);
-          Array.unsafe_set v (d + 1)
-            (Array.unsafe_get v (a + 1) lor Array.unsafe_get v (b + 1));
-          Array.unsafe_set v (d + 2)
-            (Array.unsafe_get v (a + 2) lor Array.unsafe_get v (b + 2));
-          Array.unsafe_set v (d + 3)
-            (Array.unsafe_get v (a + 3) lor Array.unsafe_get v (b + 3))
-        done
-    | 3 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d
-            (Array.unsafe_get v a lxor Array.unsafe_get v b);
-          Array.unsafe_set v (d + 1)
-            (Array.unsafe_get v (a + 1) lxor Array.unsafe_get v (b + 1));
-          Array.unsafe_set v (d + 2)
-            (Array.unsafe_get v (a + 2) lxor Array.unsafe_get v (b + 2));
-          Array.unsafe_set v (d + 3)
-            (Array.unsafe_get v (a + 3) lxor Array.unsafe_get v (b + 3))
-        done
-    | 4 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d
-            (lnot (Array.unsafe_get v a land Array.unsafe_get v b));
-          Array.unsafe_set v (d + 1)
-            (lnot (Array.unsafe_get v (a + 1) land Array.unsafe_get v (b + 1)));
-          Array.unsafe_set v (d + 2)
-            (lnot (Array.unsafe_get v (a + 2) land Array.unsafe_get v (b + 2)));
-          Array.unsafe_set v (d + 3)
-            (lnot (Array.unsafe_get v (a + 3) land Array.unsafe_get v (b + 3)))
-        done
-    | 5 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d
-            (lnot (Array.unsafe_get v a lor Array.unsafe_get v b));
-          Array.unsafe_set v (d + 1)
-            (lnot (Array.unsafe_get v (a + 1) lor Array.unsafe_get v (b + 1)));
-          Array.unsafe_set v (d + 2)
-            (lnot (Array.unsafe_get v (a + 2) lor Array.unsafe_get v (b + 2)));
-          Array.unsafe_set v (d + 3)
-            (lnot (Array.unsafe_get v (a + 3) lor Array.unsafe_get v (b + 3)))
-        done
-    | 6 ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i
-          and b = Array.unsafe_get sb i
-          and c = Array.unsafe_get sc i
-          and d = Array.unsafe_get sdst i in
-          let s0 = Array.unsafe_get v a in
-          Array.unsafe_set v d
-            (Array.unsafe_get v c
-             land s0
-            lor (Array.unsafe_get v b land lnot s0));
-          let s1 = Array.unsafe_get v (a + 1) in
-          Array.unsafe_set v (d + 1)
-            (Array.unsafe_get v (c + 1)
-             land s1
-            lor (Array.unsafe_get v (b + 1) land lnot s1));
-          let s2 = Array.unsafe_get v (a + 2) in
-          Array.unsafe_set v (d + 2)
-            (Array.unsafe_get v (c + 2)
-             land s2
-            lor (Array.unsafe_get v (b + 2) land lnot s2));
-          let s3 = Array.unsafe_get v (a + 3) in
-          Array.unsafe_set v (d + 3)
-            (Array.unsafe_get v (c + 3)
-             land s3
-            lor (Array.unsafe_get v (b + 3) land lnot s3))
-        done
-    | _ ->
-        for i = lo to hi - 1 do
-          let a = Array.unsafe_get sa i and d = Array.unsafe_get sdst i in
-          Array.unsafe_set v d (Array.unsafe_get sd a);
-          Array.unsafe_set v (d + 1) (Array.unsafe_get sd (a + 1));
-          Array.unsafe_set v (d + 2) (Array.unsafe_get sd (a + 2));
-          Array.unsafe_set v (d + 3) (Array.unsafe_get sd (a + 3))
-        done
-  done
 
 let settle_full_8 sp v sd =
   let sa = sp.s_a and sb = sp.s_b and sc = sp.s_c and sdst = sp.s_d in
@@ -1306,170 +758,33 @@ let settle_full_8 sp v sd =
         done
   done
 
-let settle_full st =
-  let sp = st.sp in
-  match sp.s_words with
-  | 1 -> settle_full_1 sp st.sv st.sd
-  | 2 -> settle_full_2 sp st.sv st.sd
-  | 4 -> settle_full_4 sp st.sv st.sd
-  | _ -> settle_full_8 sp st.sv st.sd
-
-(* Recompute one instruction (all S words), store-on-change; returns
-   whether any word changed.  Only the event-driven path pays this
-   per-instruction dispatch — it runs on the (few) scheduled
-   instructions, not the whole tape. *)
-let eval_changed st p =
-  let sp = st.sp in
-  let v = st.sv and sd = st.sd in
-  let s = sp.s_words in
-  let a = Array.unsafe_get sp.s_a p and d = Array.unsafe_get sp.s_d p in
-  let changed = ref false in
-  (match Array.unsafe_get sp.s_op p with
-  | 0 ->
-      for w = 0 to s - 1 do
-        let x = lnot (Array.unsafe_get v (a + w)) in
-        if Array.unsafe_get v (d + w) <> x then begin
-          Array.unsafe_set v (d + w) x;
-          changed := true
-        end
-      done
-  | 1 ->
-      let b = Array.unsafe_get sp.s_b p in
-      for w = 0 to s - 1 do
-        let x = Array.unsafe_get v (a + w) land Array.unsafe_get v (b + w) in
-        if Array.unsafe_get v (d + w) <> x then begin
-          Array.unsafe_set v (d + w) x;
-          changed := true
-        end
-      done
-  | 2 ->
-      let b = Array.unsafe_get sp.s_b p in
-      for w = 0 to s - 1 do
-        let x = Array.unsafe_get v (a + w) lor Array.unsafe_get v (b + w) in
-        if Array.unsafe_get v (d + w) <> x then begin
-          Array.unsafe_set v (d + w) x;
-          changed := true
-        end
-      done
-  | 3 ->
-      let b = Array.unsafe_get sp.s_b p in
-      for w = 0 to s - 1 do
-        let x = Array.unsafe_get v (a + w) lxor Array.unsafe_get v (b + w) in
-        if Array.unsafe_get v (d + w) <> x then begin
-          Array.unsafe_set v (d + w) x;
-          changed := true
-        end
-      done
-  | 4 ->
-      let b = Array.unsafe_get sp.s_b p in
-      for w = 0 to s - 1 do
-        let x =
-          lnot (Array.unsafe_get v (a + w) land Array.unsafe_get v (b + w))
-        in
-        if Array.unsafe_get v (d + w) <> x then begin
-          Array.unsafe_set v (d + w) x;
-          changed := true
-        end
-      done
-  | 5 ->
-      let b = Array.unsafe_get sp.s_b p in
-      for w = 0 to s - 1 do
-        let x =
-          lnot (Array.unsafe_get v (a + w) lor Array.unsafe_get v (b + w))
-        in
-        if Array.unsafe_get v (d + w) <> x then begin
-          Array.unsafe_set v (d + w) x;
-          changed := true
-        end
-      done
-  | 6 ->
-      let b = Array.unsafe_get sp.s_b p and c = Array.unsafe_get sp.s_c p in
-      for w = 0 to s - 1 do
-        let sel = Array.unsafe_get v (a + w) in
-        let x =
-          Array.unsafe_get v (c + w)
-          land sel
-          lor (Array.unsafe_get v (b + w) land lnot sel)
-        in
-        if Array.unsafe_get v (d + w) <> x then begin
-          Array.unsafe_set v (d + w) x;
-          changed := true
-        end
-      done
-  | _ ->
-      for w = 0 to s - 1 do
-        let x = Array.unsafe_get sd (a + w) in
-        if Array.unsafe_get v (d + w) <> x then begin
-          Array.unsafe_set v (d + w) x;
-          changed := true
-        end
-      done);
-  !changed
-
-(* Drain the per-level buckets in level order.  Evaluating a level-l
-   instruction only ever schedules strictly-higher-level readers (op_dff
-   reads the DFF array, not a net, so it is only scheduled by pokes and
-   latches), so each bucket is complete when we reach it. *)
-let settle_inc st =
-  let sp = st.sp in
-  for l = 0 to sp.s_n_levels - 1 do
-    let q = Array.unsafe_get st.q_buf l in
-    let cnt = Array.unsafe_get st.q_len l in
-    for x = 0 to cnt - 1 do
-      let p = Array.unsafe_get q x in
-      Bytes.unsafe_set st.q_flag p '\000';
-      if eval_changed st p then
-        sched_readers st (Array.unsafe_get sp.s_d0 p)
-    done;
-    Array.unsafe_set st.q_len l 0
-  done
 
 let strip_settle st =
-  if st.s_inc && st.s_live then settle_inc st
-  else begin
-    settle_full st;
-    st.s_live <- true
-  end
+  let sp = st.sp in
+  if sp.s_words = 1 then settle_full_1 sp st.sv st.sd
+  else settle_full_8 sp st.sv st.sd
 
 let strip_latch st =
-  let sp = st.sp in
-  let s = sp.s_words in
-  let v = st.sv and sd = st.sd and src = sp.s_dff_src in
-  if st.s_inc && st.s_live then
-    for k = 0 to Array.length src - 1 do
-      let sk = Array.unsafe_get src k in
-      let base = k * s in
-      let changed = ref false in
-      for w = 0 to s - 1 do
-        let nv = Array.unsafe_get v (sk + w) in
-        if Array.unsafe_get sd (base + w) <> nv then begin
-          Array.unsafe_set sd (base + w) nv;
-          changed := true
-        end
-      done;
-      if !changed then begin
-        let p = Array.unsafe_get sp.s_dff_instr k in
-        if p >= 0 then sched st p
-      end
+  let s = st.sp.s_words in
+  let v = st.sv and sd = st.sd and src = st.sp.s_dff_src in
+  for k = 0 to Array.length src - 1 do
+    let sk = Array.unsafe_get src k in
+    let base = k * s in
+    for w = 0 to s - 1 do
+      Array.unsafe_set sd (base + w) (Array.unsafe_get v (sk + w))
     done
-  else
-    for k = 0 to Array.length src - 1 do
-      let sk = Array.unsafe_get src k in
-      let base = k * s in
-      for w = 0 to s - 1 do
-        Array.unsafe_set sd (base + w) (Array.unsafe_get v (sk + w))
-      done
-    done
+  done
+
 
 (* ------------------------- strip batch runs ------------------------- *)
 
-(* The strip runner also fuses the clock: the legacy [clock] settles
-   twice per cycle (the trailing settle exposes the post-edge state),
-   but when inputs are redriven every cycle and outputs are read only at
-   the end, the pre-latch settle of cycle [c+1] recomputes exactly what
-   cycle [c]'s trailing settle produced.  So each cycle is poke + settle
-   + latch, with one final settle before readout — bit-identical, at
-   nearly half the passes. *)
+(* The strip runner fuses the clock: [Sim.clock] settles twice per cycle
+   (the trailing settle exposes the post-edge state), but when inputs
+   are redriven every cycle and outputs are read only at the end, the
+   pre-latch settle of cycle [c+1] recomputes exactly what cycle [c]'s
+   trailing settle produced.  So each cycle is poke + settle + latch,
+   with one final settle before readout — bit-identical, at nearly half
+   the passes. *)
 let run_strips_into st b bits lo hi =
   let sp = st.sp in
   let s = sp.s_words in
@@ -1524,7 +839,7 @@ let run_strips_into st b bits lo hi =
     j := !j + count
   done
 
-let run_strips ?(jobs = 1) ?(words = 8) ?(incremental = false) nl b =
+let run_strips ?(jobs = 1) ?(words = 8) nl b =
   let n = b.b_n in
   let cap = words * lanes in
   Trace.with_span "sim.run"
@@ -1540,8 +855,10 @@ let run_strips ?(jobs = 1) ?(words = 8) ?(incremental = false) nl b =
       let bits = Array.init n (fun _ -> Array.make n_out false) in
       let t0 = Trace.now_us () in
       if jobs <= 1 || n <= cap then
-        run_strips_into (strip ~words ~incremental nl) b bits 0 n
+        run_strips_into (strip ~words nl) b bits 0 n
       else begin
+        (* contiguous strip-aligned shards, a couple per domain for
+           balance; rows are disjoint so domains never share a cell *)
         let groups = (n + cap - 1) / cap in
         let shards = min groups (jobs * 2) in
         let per = (groups + shards - 1) / shards in
@@ -1555,7 +872,7 @@ let run_strips ?(jobs = 1) ?(words = 8) ?(incremental = false) nl b =
             ignore
               (Dpool.map pool
                  (fun (lo, hi) ->
-                   run_strips_into (strip ~words ~incremental nl) b bits lo hi)
+                   run_strips_into (strip ~words nl) b bits lo hi)
                  ranges))
       end;
       observe_throughput n t0;
@@ -1568,28 +885,30 @@ let run_strips ?(jobs = 1) ?(words = 8) ?(incremental = false) nl b =
    cycle, replicated across lanes) while the [forced] inputs — mutant
    enable gates, in the Rtl use — carry a distinct per-lane word.  One
    tape pass therefore evaluates up to [lanes] trojan on/off variants of
-   one vector. *)
+   one vector.  Runs on a 1-word strip with the fused clock. *)
 let run_mutants ?(cycles = 1) ~prng ~forced nl =
   if cycles < 1 then invalid_arg "Packed.run_mutants: cycles < 1";
-  let t = create nl in
-  let tp = t.tp in
+  let st = strip ~words:1 nl in
+  let tp = st.sp.s_tp in
   let g = Prng.copy prng in
-  reset t;
   for _ = 1 to cycles do
     Array.iter
       (fun (nm, net) ->
-        match List.assoc_opt nm forced with
-        | Some w -> t.values.(net) <- w
-        | None -> t.values.(net) <- (if Prng.bool g then all_lanes else 0))
+        strip_poke st net 0
+          (match List.assoc_opt nm forced with
+          | Some w -> w
+          | None -> if Prng.bool g then all_lanes else 0))
       tp.t_input_nets;
-    clock t
+    strip_settle st;
+    strip_latch st
   done;
+  strip_settle st;
   let n_out = Array.length tp.t_out_nets in
   let bits =
     Array.init lanes (fun k ->
         Array.init n_out (fun oi ->
             let _, net = tp.t_out_nets.(oi) in
-            (t.values.(net) lsr k) land 1 = 1))
+            (strip_peek_index st net 0 lsr k) land 1 = 1))
   in
   { out_names = out_names_of tp; out_bits = bits }
 

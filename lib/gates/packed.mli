@@ -1,4 +1,4 @@
-(** Compiled bit-parallel netlist simulation.
+(** Compiled bit-parallel netlist simulation: the one gate engine.
 
     {!Sim} interprets the driver ADT net by net; this engine instead
     compiles a finalised netlist {e once} into a flat, levelized
@@ -6,10 +6,11 @@
     destination, in the topological order {!Netlist.finalise} already
     computed — and evaluates it with native [int] bitwise ops.  Each
     machine word carries {!lanes} independent input vectors, one per
-    bit, so a single settle pass simulates {!lanes} vectors at the cost
-    of one ([lnot]/[land]/[lor]/[lxor] evaluate all lanes at once; a mux
-    is [ (t1 land sel) lor (t0 land lnot sel) ]).  DFF state, constants
-    and mux selects all stay packed.
+    bit ([lnot]/[land]/[lor]/[lxor] evaluate all lanes at once; a mux
+    is [ (t1 land sel) lor (t0 land lnot sel) ]).  The tape is then
+    re-laid for a strip of [S ∈ {1, 8}] lane words per net (see
+    {!strip}): 1 word for single runs and witness replays, 8 words for
+    batches.
 
     Tapes are immutable and cached on {!Netlist.uid} (compile once, even
     across repeated simulator construction and worker domains); the
@@ -27,12 +28,12 @@
     packed into lanes, strips or shards.  Below full activity the batch
     derives one generator per vector ({!Thr_util.Prng.split} in vector
     order) and each input redraws or holds per vector and cycle (see
-    {!batch}).  [run], [run_sharded] (any [jobs]), [run_strips] (any
-    width, event-driven or not) and the scalar oracle [run_reference]
-    therefore return bit-identical outputs for the same batch.
+    {!batch}).  [run_strips] (either width, any [jobs]) and the scalar
+    oracle [run_reference] therefore return bit-identical outputs for
+    the same batch.
 
     Scalar {!Sim} remains the reference semantics; the equivalence is
-    enforced by a qcheck property over random netlists. *)
+    enforced by qcheck properties over random netlists. *)
 
 val lanes : int
 (** Vectors carried per machine word: [Sys.int_size] (63 on 64-bit —
@@ -110,58 +111,6 @@ val tape_dff_init : tape -> int -> bool
 val tape_inputs : tape -> (string * int) array
 (** Primary inputs as [(name, net index)], declaration order. *)
 
-(** {1 Simulation} *)
-
-type t
-(** Mutable lane-packed simulator state over a tape.  Mirrors {!Sim}:
-    all DFFs at their init values, all inputs at 0, in every lane. *)
-
-val create : Netlist.t -> t
-(** [create nl] = [of_tape (tape nl)]. *)
-
-val of_tape : tape -> t
-
-val netlist : t -> Netlist.t
-
-val reset : t -> unit
-(** Back to power-on: DFFs to init values, inputs (and all nets) to 0,
-    in every lane. *)
-
-val set_input : t -> string -> int -> unit
-(** Drive an input with a lane word (bit [k] = the value in lane [k]).
-    @raise Invalid_argument on an unknown input name. *)
-
-val settle : t -> unit
-(** One tape pass: propagate inputs through the combinational logic.
-    Unused high lanes may hold garbage after inversions; mask with
-    {!lane_mask} before interpreting fewer than {!lanes} lanes. *)
-
-val clock : t -> unit
-(** [settle], latch every DFF, [settle] — the same edge semantics as
-    {!Sim.clock}, in every lane at once. *)
-
-val output : t -> string -> int
-(** Lane word of a primary output after the last [settle]/[clock].
-    @raise Invalid_argument on an unknown output name. *)
-
-val peek : t -> Netlist.net -> int
-(** Lane word of any net. *)
-
-val peek_lane : t -> Netlist.net -> int -> bool
-(** One lane of one net ([lane] in [0, lanes)). *)
-
-val peek_index : t -> int -> int
-(** Lane word of the net with raw index [i] (see {!Netlist.net_index}).
-    Probe hook for watch-lists that pre-resolve nets to indices. *)
-
-val sample : t -> int array -> int array -> unit
-(** [sample t nets dst] bulk-reads the lane words of the raw net indices
-    [nets] into [dst] — the flight recorder's once-per-cycle probe.
-    @raise Invalid_argument if the array lengths differ. *)
-
-val dff_state : t -> int array
-(** Snapshot of the packed DFF lane words (copy). *)
-
 (** {1 Batches} *)
 
 type batch
@@ -182,8 +131,8 @@ val batch : prng:Thr_util.Prng.t -> ?cycles:int -> ?activity:float -> int -> bat
     value (inputs power on at 0) — per vector, from that vector's
     generator.  At the default the stream comes from the allocation-free
     counter hash instead (see the determinism contract).  The derivation
-    is part of the batch, so all engines ([run], [run_strips] in every
-    mode, [run_reference]) stay bit-identical for any activity.
+    is part of the batch, so [run_strips] at either width and
+    [run_reference] stay bit-identical for any activity.
     @raise Invalid_argument if [n < 0], [cycles < 1] or
     [activity] outside (0, 1]. *)
 
@@ -198,18 +147,6 @@ type outputs = {
   out_bits : bool array array;       (** [out_bits.(vector).(output)] *)
 }
 
-val run : t -> batch -> outputs
-(** Simulate the whole batch on one domain, {!lanes} vectors per pass,
-    resetting between lane words.  Wrapped in a ["sim.run"] span; bumps
-    the [thr_sim_vectors_total] counter and the
-    [thr_sim_vectors_per_second] histogram. *)
-
-val run_sharded : ?jobs:int -> Netlist.t -> batch -> outputs
-(** [run] with the lane words of the batch sharded over [jobs] domains
-    ({!Thr_util.Dpool}); each domain gets its own state over the shared
-    cached tape.  [jobs <= 1] runs inline.  Output is bit-identical to
-    [run] for any [jobs] (see the determinism contract). *)
-
 val run_reference : Netlist.t -> batch -> outputs
 (** The same batch through scalar {!Sim}, one vector at a time (a single
     simulator reused with {!Sim.reset}) — the oracle for equivalence
@@ -217,47 +154,43 @@ val run_reference : Netlist.t -> batch -> outputs
 
 val equal_outputs : outputs -> outputs -> bool
 
-(** {1 Multi-word lane strips}
+(** {1 Lane strips}
 
-    The strip engine re-compiles the tape for a fixed strip width
-    [S ∈ {1, 2, 4, 8}]: every net carries [S] consecutive lane words
-    ([S * lanes] vectors per pass), and the instruction stream is stably
-    sorted by (level, opcode) into homogeneous segments so the settle
-    kernel dispatches on the opcode {e once per segment} and evaluates
-    [S] unrolled words per instruction — amortising the per-instruction
-    jump-table dispatch that dominates the legacy loop on large
-    netlists.  Strip tapes are cached under [(uid, S)], separately from
-    the scalar tape cache; compiles bump [thr_sim_compiles_total] and
-    [thr_sim_tape_bytes_total].
+    A strip tape re-lays the tape for a fixed strip width [S ∈ {1, 8}]:
+    every net carries [S] consecutive lane words ([S * lanes] vectors
+    per pass), and the instruction stream is stably sorted by
+    (level, opcode) into homogeneous segments so the settle kernel
+    dispatches on the opcode {e once per segment} and evaluates [S]
+    unrolled words per instruction.  Strip tapes are cached under
+    [(uid, S)], separately from the scalar tape cache; compiles bump
+    [thr_sim_compiles_total] and [thr_sim_tape_bytes_total].
 
-    The event-driven mode ([~incremental:true]) adds a per-level dirty
-    queue: pokes that change an input word and clock edges that change a
-    latched DFF word schedule their reader instructions, and [settle]
-    drains the queues in level order recomputing only what was
-    scheduled (the first settle after a reset is always a full pass).
-    Results are bit-identical to full evaluation — enforced by qcheck —
-    with cost proportional to switching activity. *)
+    A {!Sim.clock} edge is [strip_settle; strip_latch; strip_settle] on
+    a strip.  Runners that hold or redrive inputs fuse it: one settle
+    per cycle after the pokes, then latch, and one more settle before
+    reading (bit-identical, nearly half the passes). *)
 
 type strip
-(** Mutable strip-simulator state (the analogue of {!t}). *)
+(** Mutable strip-simulator state: all DFFs at their init values, all
+    inputs at 0, in every lane of every word. *)
 
-val strip : ?words:int -> ?incremental:bool -> Netlist.t -> strip
-(** [strip ~words ~incremental nl] builds strip state over the cached
-    [(uid, words)] strip tape.  [words] defaults to 8; [incremental]
-    (default false) enables event-driven settling.
-    @raise Invalid_argument if [words] is not one of {1, 2, 4, 8}. *)
+val strip : ?words:int -> Netlist.t -> strip
+(** [strip ~words nl] builds strip state over the cached [(uid, words)]
+    strip tape.  [words] defaults to 8.
+    @raise Invalid_argument if [words] is not 1 or 8. *)
 
 val strip_words : strip -> int
 
 val strip_netlist : strip -> Netlist.t
 
 val strip_reset : strip -> unit
-(** Power-on in every lane of every word; the next settle is a full pass. *)
+(** Power-on in every lane of every word: DFFs to init values, inputs
+    (and all driven nets) to 0, constants to their values. *)
 
 val strip_set_input : strip -> string -> int -> int -> unit
 (** [strip_set_input st nm w v] drives lane word [w] (in [0, words)) of
-    input [nm] with [v].  In incremental mode a change schedules the
-    input's reader cone.  @raise Invalid_argument on an unknown name. *)
+    input [nm] with [v] (bit [k] = the value in lane [k]).
+    @raise Invalid_argument on an unknown name. *)
 
 val strip_poke : strip -> int -> int -> int -> unit
 (** [strip_poke st net w v]: {!strip_set_input} by raw net index, for
@@ -265,27 +198,28 @@ val strip_poke : strip -> int -> int -> int -> unit
     poking a driven net is overwritten by the next settle. *)
 
 val strip_settle : strip -> unit
-(** Full segmented pass, or (incremental mode, after the first pass) a
-    drain of the scheduled cones. *)
+(** One segmented pass: propagate inputs and DFF state through the
+    combinational logic.  Unused high lanes may hold garbage after
+    inversions; mask with {!lane_mask} before interpreting fewer than
+    {!lanes} lanes. *)
 
 val strip_latch : strip -> unit
-(** Latch every DFF.  Unlike legacy {!clock} there is no trailing
-    settle: runners settle once per cycle and once more before reading
-    (bit-identical, nearly half the passes).  In incremental mode a
-    changed DFF word schedules its op_dff instruction. *)
+(** Latch every DFF from its data net.  There is no trailing settle;
+    call {!strip_settle} before reading post-edge values. *)
 
 val strip_peek : strip -> Netlist.net -> int -> int
 (** Lane word [w] of a net after the last settle. *)
 
 val strip_peek_index : strip -> int -> int -> int
-(** Same by raw net index. *)
+(** Same by raw net index (see {!Netlist.net_index}). *)
 
-val run_strips :
-  ?jobs:int -> ?words:int -> ?incremental:bool -> Netlist.t -> batch -> outputs
-(** The strip engine's batch runner: [words * lanes] vectors per tape
-    pass, fused clock, optional event-driven settling, sharded over
-    [jobs] domains when given.  Bit-identical to [run] /
-    [run_reference] for any [words], [incremental] and [jobs]. *)
+val run_strips : ?jobs:int -> ?words:int -> Netlist.t -> batch -> outputs
+(** The batch runner: [words * lanes] vectors per tape pass, fused
+    clock, resetting between strips, sharded over [jobs] domains
+    ({!Thr_util.Dpool}) when given.  Bit-identical to [run_reference]
+    for either [words] and any [jobs].  Wrapped in a ["sim.run"] span;
+    bumps the [thr_sim_vectors_total] counter and the
+    [thr_sim_vectors_per_second] histogram. *)
 
 (** {1 Concurrent fault simulation} *)
 
@@ -300,8 +234,8 @@ val run_mutants :
     (declaration order, from a copy of [prng]), replicated across all
     lanes — while each [forced] input (a mutant enable gate) drives its
     given lane word every cycle.  One tape pass per cycle therefore
-    evaluates up to {!lanes} trojan on/off variants of one input stream.
-    [out_bits] has {!lanes} rows, one per lane. *)
+    evaluates up to {!lanes} trojan on/off variants of one input stream
+    (on a 1-word strip).  [out_bits] has {!lanes} rows, one per lane. *)
 
 val run_mutants_reference :
   ?cycles:int ->

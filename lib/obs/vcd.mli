@@ -8,7 +8,7 @@
 
     The parser reads exactly this subset back (it carries values forward
     across cycles), which gives the round-trip property tested against
-    the packed simulator: [parse (to_string w) = Ok w']. *)
+    the scalar gate simulator: [parse (to_string w) = Ok w']. *)
 
 type wave = {
   v_names : string array;  (** declaration order *)

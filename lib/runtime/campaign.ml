@@ -261,13 +261,13 @@ type cosim_result = {
 
 let cosim_ok r = r.cosim_mismatches = 0
 
-let cosim ?(config = default_config) ?(jobs = 1) ?(width = 16) ?strip_words
-    ?(incremental = false) ~prng ~vectors design =
+let cosim ?(config = default_config) ?(jobs = 1) ?(width = 16) ~prng ~vectors
+    design =
   let dfg = design.Design.spec.Spec.dfg in
   let rtl = Rtl.elaborate ~width design in
   (* environments drawn from the shared generator, like campaign trials *)
   let envs = List.init vectors (fun _ -> random_env config prng dfg) in
-  let results = Rtl.run_batch ~jobs ?strip_words ~incremental rtl envs in
+  let results = Rtl.run_batch ~jobs rtl envs in
   let m = 1 lsl width in
   let mismatches = ref 0 and first_bad = ref None in
   let detections = ref 0 and first_detect = ref None in

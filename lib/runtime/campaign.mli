@@ -94,8 +94,6 @@ val cosim :
   ?config:config ->
   ?jobs:int ->
   ?width:int ->
-  ?strip_words:int ->
-  ?incremental:bool ->
   prng:Thr_util.Prng.t ->
   vectors:int ->
   Thr_hls.Design.t ->
@@ -103,14 +101,12 @@ val cosim :
 (** Elaborate the (clean) design to gates ({!Rtl.elaborate}, [width]
     default 16) and co-simulate [vectors] random environments — drawn
     from [prng] with [config]'s input range, like campaign trials — on
-    the multi-word strip engine via {!Rtl.run_batch}, against
-    {!Thr_dfg.Eval} reference outputs (compared modulo [2^width]).  A
-    clean design must report zero mismatches and never raise the
-    comparator flag; [jobs] shards the batch across domains, and
-    [strip_words] / [incremental] select the strip width and
-    event-driven settling, none of which changes the result.  This backs
-    [thls simulate --vectors] (and its [--strip-words] /
-    [--incremental] flags).
+    the gate engine via {!Rtl.run_batch} (which picks the strip width
+    from the batch size), against {!Thr_dfg.Eval} reference outputs
+    (compared modulo [2^width]).  A clean design must report zero
+    mismatches and never raise the comparator flag; [jobs] shards the
+    batch across domains without changing the result.  This backs
+    [thls simulate --vectors].
 
     @raise Invalid_argument if the design is invalid. *)
 

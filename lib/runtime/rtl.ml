@@ -609,8 +609,8 @@ let input_bit_ids t =
    lane word per input bit carries up to [Packed.lanes] environments and
    one strip pass carries [strip_words * Packed.lanes] of them.  The
    clock is fused (one settle up front, then latch + settle per edge),
-   which is bit-identical to the legacy settle/latch/settle clock under
-   constant inputs. *)
+   which is bit-identical to a settle/latch/settle clock under constant
+   inputs. *)
 let run_chunks t st input_ids envs results lo hi =
   let vmask = (1 lsl t.width) - 1 in
   let s = Packed.strip_words st in
@@ -673,30 +673,24 @@ let run_chunks t st input_ids envs results lo hi =
     j := !j + count
   done
 
-let run_batch ?(jobs = 1) ?strip_words ?(incremental = false) t envs =
+let run_batch ?(jobs = 1) t envs =
   let envs = Array.of_list envs in
   let n = Array.length envs in
   (* single environments (thls simulate's common case) stay on the
      narrow strip; batches wide enough to fill more than one lane word
-     default to the full 8-word strip *)
-  let words =
-    match strip_words with
-    | Some w -> w
-    | None -> if n > Packed.lanes then 8 else 1
-  in
+     take the full 8-word strip *)
+  let words = if n > Packed.lanes then 8 else 1 in
   let input_ids = input_bit_ids t in
   let results = Array.make n None in
   let cap = words * Packed.lanes in
   let groups = (n + cap - 1) / cap in
   if jobs <= 1 || groups <= 1 then
-    run_chunks t
-      (Packed.strip ~words ~incremental t.netlist)
-      input_ids envs results 0 n
+    run_chunks t (Packed.strip ~words t.netlist) input_ids envs results 0 n
   else begin
     (* warm the shared strip-tape cache once, then hand each domain its
        own simulator state over contiguous strip-aligned shards; each
        writes a disjoint slice of [results] *)
-    ignore (Packed.strip ~words ~incremental t.netlist);
+    ignore (Packed.strip ~words t.netlist);
     let shards = min groups (jobs * 2) in
     let per = (groups + shards - 1) / shards in
     let ranges =
@@ -709,9 +703,8 @@ let run_batch ?(jobs = 1) ?strip_words ?(incremental = false) t envs =
         ignore
           (Dpool.map pool
              (fun (lo, hi) ->
-               run_chunks t
-                 (Packed.strip ~words ~incremental t.netlist)
-                 input_ids envs results lo hi)
+               run_chunks t (Packed.strip ~words t.netlist) input_ids envs
+                 results lo hi)
              ranges))
   end;
   Array.to_list results
@@ -742,9 +735,7 @@ let run_mutant_batch t envs =
   let gate_ids = List.mapi (fun g nm -> (g, Hashtbl.find tbl nm)) gates in
   let results = Array.make n None in
   let mi = Netlist.net_index t.mismatch in
-  let s =
-    if n >= 8 then 8 else if n >= 4 then 4 else if n >= 2 then 2 else 1
-  in
+  let s = if n >= 2 then 8 else 1 in
   let st = Packed.strip ~words:s t.netlist in
   let mh = Array.make (t.total_cycles * s) 0 in
   let j = ref 0 in
@@ -873,8 +864,7 @@ let run_recorded ?(depth = 256) ?watch ?(cls = "") t env =
   let nets = Array.of_list (List.map (fun w -> w.w_index) watch) in
   let rares = Array.of_list (List.map (fun w -> w.w_rare) watch) in
   let recorder = Recorder.create ~names ~depth () in
-  let sim = Packed.of_tape (Packed.tape t.netlist) in
-  Packed.reset sim;
+  let st = Packed.strip ~words:1 t.netlist in
   let dfg = t.design.Design.spec.Spec.dfg in
   let vmask = (1 lsl t.width) - 1 in
   List.iter
@@ -886,17 +876,25 @@ let run_recorded ?(depth = 256) ?watch ?(cls = "") t env =
             invalid_arg (Printf.sprintf "Rtl.run_recorded: missing input %S" nm)
       in
       for i = 0 to t.width - 1 do
-        Packed.set_input sim (Printf.sprintf "%s.%d" nm i) ((v lsr i) land 1)
+        Packed.strip_set_input st
+          (Printf.sprintf "%s.%d" nm i)
+          0
+          ((v lsr i) land 1)
       done)
     (Dfg.inputs dfg);
   let scratch = Array.make (Array.length nets) 0 in
   let mhist = Array.make t.total_cycles 0 in
   let fired = Array.make (Array.length nets) false in
+  (* inputs stay constant, so the clock is fused like run_chunks' *)
+  Packed.strip_settle st;
   for c = 1 to t.total_cycles do
-    Packed.clock sim;
-    Packed.sample sim nets scratch;
+    Packed.strip_latch st;
+    Packed.strip_settle st;
+    Array.iteri
+      (fun i net -> scratch.(i) <- Packed.strip_peek_index st net 0)
+      nets;
     Recorder.push recorder ~cycle:c scratch;
-    mhist.(c - 1) <- Packed.peek sim t.mismatch;
+    mhist.(c - 1) <- Packed.strip_peek st t.mismatch 0;
     Array.iteri
       (fun i rare ->
         match rare with
@@ -908,7 +906,7 @@ let run_recorded ?(depth = 256) ?watch ?(cls = "") t env =
         | _ -> ())
       rares
   done;
-  let lane net = Packed.peek_lane sim net 0 in
+  let lane net = Packed.strip_peek st net 0 land 1 = 1 in
   let read (o, bus) = (o, sign_extend t.width (Bus.to_int lane bus)) in
   let first = first_detect_of mhist 0 in
   let result =

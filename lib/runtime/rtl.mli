@@ -143,26 +143,18 @@ val run : t -> Thr_dfg.Eval.env -> result
     {!run_batch}: the netlist's compiled strip tape is cached, so
     repeated calls never re-walk the netlist. *)
 
-val run_batch :
-  ?jobs:int ->
-  ?strip_words:int ->
-  ?incremental:bool ->
-  t ->
-  Thr_dfg.Eval.env list ->
-  result list
-(** [run] over many environments at once on the multi-word strip engine
-    ({!Thr_gates.Packed.strip}) — [strip_words * Thr_gates.Packed.lanes]
-    environments per fused-clock simulation pass, and with [jobs > 1]
-    strip-aligned slices of the batch fanned out across a
-    {!Thr_util.Dpool}.  [strip_words] defaults adaptively: 1 word when
-    the batch fits a single lane word, 8 otherwise.  [incremental]
-    (default false) switches the per-cycle settles to event-driven
-    evaluation.  Results are in input order and identical to mapping
-    {!run} (every environment is an independent power-on run of the
-    netlist), for any [jobs], [strip_words] and [incremental].
+val run_batch : ?jobs:int -> t -> Thr_dfg.Eval.env list -> result list
+(** [run] over many environments at once on the gate engine
+    ({!Thr_gates.Packed.strip}): environments are packed one per lane,
+    {!Thr_gates.Packed.lanes} per lane word, and each fused-clock
+    simulation pass carries one strip.  The strip width follows the
+    batch: 1 word when it fits a single lane word, 8 words otherwise.
+    With [jobs > 1], strip-aligned slices of the batch fan out across a
+    {!Thr_util.Dpool}.  Results are in input order and identical to
+    mapping {!run} (every environment is an independent power-on run of
+    the netlist), for any [jobs].
 
-    @raise Invalid_argument if an environment misses a primary input or
-    [strip_words] is not one of {1, 2, 4, 8}. *)
+    @raise Invalid_argument if an environment misses a primary input. *)
 
 (** {1 Concurrent fault simulation} *)
 
@@ -176,11 +168,12 @@ type mutant_result = {
 val run_mutant_batch : t -> Thr_dfg.Eval.env list -> mutant_result list
 (** For an elaboration with [gated_injections]: run every environment
     once with the clean circuit in lane 0 and mutant [g] armed in lane
-    [g + 1], packing up to [strip_words] environments per strip pass —
-    the whole trojan zoo is scored against each stimulus in a single
-    simulation of one netlist.  [m_clean] is bit-identical to {!run} of
-    the un-gated elaboration and each [m_mutants] entry to {!run} of the
-    corresponding plain-injection elaboration.
+    [g + 1], one environment per strip word (an 8-word strip for two or
+    more environments, 1 word otherwise) — the whole trojan zoo is
+    scored against each stimulus in a single simulation of one netlist.
+    [m_clean] is bit-identical to {!run} of the un-gated elaboration and
+    each [m_mutants] entry to {!run} of the corresponding
+    plain-injection elaboration.
 
     @raise Invalid_argument if the design has no gated injections or an
     environment misses a primary input. *)

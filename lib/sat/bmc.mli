@@ -12,8 +12,8 @@
     Three-valued outcome: a {!witness} (a concrete activating input
     sequence — the paper's "extremely rare activation condition" made
     explicit), a proof of unreachability within the bound, or
-    inconclusive when the step budget runs out.  Witnesses replay on the
-    packed simulator ({!replay}); [thls lint --prove] refuses to trust a
+    inconclusive when the step budget runs out.  Witnesses replay on a
+    1-word gate-engine strip ({!replay}); [thls lint --prove] refuses to trust a
     witness that does not. *)
 
 type witness = {
@@ -76,10 +76,11 @@ val witness_of :
     solver common to many candidates. *)
 
 val replay : Thr_gates.Netlist.t -> witness -> bool
-(** Replay the witness on the packed simulator — [w_cycle - 1] clocked
-    cycles then a final settle — and report whether the target net shows
-    [w_value].  A sound witness always replays true; {!Thr_check} treats
-    a [false] as a prover bug and refuses the escalation. *)
+(** Replay the witness on a 1-word {!Thr_gates.Packed.strip} —
+    [w_cycle - 1] clocked cycles then a final settle — and report
+    whether the target net shows [w_value].  A sound witness always
+    replays true; {!Thr_check} treats a [false] as a prover bug and
+    refuses the escalation. *)
 
 val describe : witness -> string
 (** One-line rendering, e.g.

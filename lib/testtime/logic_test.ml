@@ -24,10 +24,11 @@ let internal_nets nl =
          | _ -> true)
   |> Array.of_list
 
-(* Drive one lane-word chunk of explicit vectors: bit [k] of each input
-   word is vector [k]'s value (absent names stay 0, as after a scalar
-   reset).  The simulator must have been reset since the last chunk. *)
-let apply_chunk sim names chunk =
+(* Drive one lane-word chunk of explicit vectors into a 1-word strip and
+   clock it once: bit [k] of each input word is vector [k]'s value
+   (absent names stay 0, as after a scalar reset).  The strip must have
+   been reset since the last chunk. *)
+let apply_chunk st names chunk =
   let words = Hashtbl.create 16 in
   List.iteri
     (fun k v ->
@@ -41,10 +42,12 @@ let apply_chunk sim names chunk =
     chunk;
   List.iter
     (fun nm ->
-      Packed.set_input sim nm
+      Packed.strip_set_input st nm 0
         (Option.value ~default:0 (Hashtbl.find_opt words nm)))
     names;
-  Packed.clock sim
+  Packed.strip_settle st;
+  Packed.strip_latch st;
+  Packed.strip_settle st
 
 let rec chunked n = function
   | [] -> []
@@ -79,7 +82,7 @@ let signal_probabilities ~prng ?(samples = 512) nl =
     (* Combinational: samples are independent, so pack them into lanes.
        Bits are drawn sample-major in input declaration order — exactly
        the scalar loop's order, so seeded profiles are unchanged. *)
-    let sim = Packed.create nl in
+    let st = Packed.strip ~words:1 nl in
     let done_ = ref 0 in
     while !done_ < samples do
       let count = min Packed.lanes (samples - !done_) in
@@ -95,14 +98,15 @@ let signal_probabilities ~prng ?(samples = 512) nl =
       done;
       List.iter
         (fun nm ->
-          Packed.set_input sim nm
+          Packed.strip_set_input st nm 0
             (Option.value ~default:0 (Hashtbl.find_opt words nm)))
         names;
-      Packed.settle sim;
+      Packed.strip_settle st;
       let mask = Packed.lane_mask count in
       Array.iteri
         (fun i net ->
-          ones.(i) <- ones.(i) + Packed.popcount (Packed.peek sim net land mask))
+          ones.(i) <-
+            ones.(i) + Packed.popcount (Packed.strip_peek st net 0 land mask))
         nets;
       done_ := !done_ + count
     done
@@ -130,17 +134,17 @@ let apply_vector sim vector =
 let n_detect_count nl rare vectors =
   Netlist.finalise nl;
   let names = Netlist.input_names nl in
-  let sim = Packed.create nl in
+  let st = Packed.strip ~words:1 nl in
   let counts = Array.make (List.length rare) 0 in
   List.iter
     (fun chunk ->
       let count = List.length chunk in
-      Packed.reset sim;
-      apply_chunk sim names chunk;
+      Packed.strip_reset st;
+      apply_chunk st names chunk;
       let mask = Packed.lane_mask count in
       List.iteri
         (fun i (net, rare_value) ->
-          let w = Packed.peek sim net in
+          let w = Packed.strip_peek st net 0 in
           let hits = (if rare_value then w else lnot w) land mask in
           counts.(i) <- counts.(i) + Packed.popcount hits)
         rare)
@@ -204,18 +208,23 @@ let detect ~golden ~suspect vectors =
   Netlist.finalise golden;
   Netlist.finalise suspect;
   let names = Netlist.input_names golden in
-  let gsim = Packed.create golden in
-  let ssim = Packed.create suspect in
-  let outputs = Netlist.output_names golden in
+  let gst = Packed.strip ~words:1 golden in
+  let sst = Packed.strip ~words:1 suspect in
+  let outputs =
+    List.map
+      (fun o -> (Netlist.find_output golden o, Netlist.find_output suspect o))
+      (Netlist.output_names golden)
+  in
   List.exists
     (fun chunk ->
       let mask = Packed.lane_mask (List.length chunk) in
-      Packed.reset gsim;
-      Packed.reset ssim;
-      apply_chunk gsim names chunk;
-      apply_chunk ssim names chunk;
+      Packed.strip_reset gst;
+      Packed.strip_reset sst;
+      apply_chunk gst names chunk;
+      apply_chunk sst names chunk;
       List.exists
-        (fun o ->
-          (Packed.output gsim o lxor Packed.output ssim o) land mask <> 0)
+        (fun (g, s) ->
+          (Packed.strip_peek gst g 0 lxor Packed.strip_peek sst s 0) land mask
+          <> 0)
         outputs)
     (chunked Packed.lanes vectors)

@@ -31,8 +31,8 @@ val signal_probabilities :
 (** Monte-Carlo signal probabilities over [samples] (default 512) random
     vectors, clocking sequential netlists one cycle per vector.
 
-    Combinational netlists are profiled with the bit-parallel
-    {!Thr_gates.Packed} engine ({!Thr_gates.Packed.lanes} samples per
+    Combinational netlists are profiled on a 1-word
+    {!Thr_gates.Packed.strip} ({!Thr_gates.Packed.lanes} samples per
     pass); sequential netlists keep the scalar walk because their state
     deliberately carries over from sample to sample.  Either way the
     bits drawn from [prng] (sample-major, inputs in declaration order)

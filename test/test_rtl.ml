@@ -275,7 +275,8 @@ let kinds_emitted () =
   List.map (fun e -> Journal.kind_name e.Journal.kind) (Journal.events ())
 
 (* Replay the VCD produced from a recorded run against an independent
-   packed simulation of the same netlist: every sampled bit must agree. *)
+   scalar Sim of the same netlist (the recorder runs on the strip
+   engine): every sampled bit must agree. *)
 let check_vcd_replay rtl (recorded : Rtl.recorded) env =
   let window = recorded.Rtl.rec_window in
   let wave =
@@ -292,33 +293,40 @@ let check_vcd_replay rtl (recorded : Rtl.recorded) env =
   in
   Alcotest.(check bool) "VCD round-trips bit-identically" true (parsed = wave);
   (* independent simulation, sampling the same nets each cycle *)
+  let nl = rtl.Rtl.netlist in
+  let by_index = Hashtbl.create 1024 in
+  Array.iter
+    (fun n -> Hashtbl.replace by_index (Netlist.net_index n) n)
+    (Netlist.nets_in_order nl);
   let nets =
-    Array.of_list (List.map (fun w -> w.Rtl.w_index) recorded.Rtl.rec_watch)
+    Array.of_list
+      (List.map
+         (fun w -> Hashtbl.find by_index w.Rtl.w_index)
+         recorded.Rtl.rec_watch)
   in
-  let sim = Packed.of_tape (Packed.tape rtl.Rtl.netlist) in
-  Packed.reset sim;
+  let sim = Sim.create nl in
   let vmask = (1 lsl rtl.Rtl.width) - 1 in
   List.iter
     (fun nm ->
       let v = List.assoc nm env land vmask in
       for i = 0 to rtl.Rtl.width - 1 do
-        Packed.set_input sim (Printf.sprintf "%s.%d" nm i) ((v lsr i) land 1)
+        Sim.set_input sim
+          (Printf.sprintf "%s.%d" nm i)
+          ((v lsr i) land 1 = 1)
       done)
     (Thr_dfg.Dfg.inputs rtl.Rtl.design.Design.spec.Spec.dfg);
-  let scratch = Array.make (Array.length nets) 0 in
   Array.iteri
     (fun t cycle ->
       (* the window is every cycle of this short run: cycle = t + 1 *)
       Alcotest.(check int) "window cycle stamp" (t + 1) cycle;
-      Packed.clock sim;
-      Packed.sample sim nets scratch;
+      Sim.clock sim;
       Array.iteri
-        (fun s word ->
-          if parsed.Vcd.v_bits.(t).(s) <> (word land 1 = 1) then
+        (fun s net ->
+          if parsed.Vcd.v_bits.(t).(s) <> Sim.peek sim net then
             Alcotest.failf "VCD bit differs from replay at cycle %d signal %s"
               cycle
               parsed.Vcd.v_names.(s))
-        scratch)
+        nets)
     parsed.Vcd.v_cycles
 
 let test_recorded_trojan_run () =
@@ -376,25 +384,21 @@ let test_cosim_counts_detections () =
 
 (* --------------------- concurrent fault simulation ------------------ *)
 
-(* every run_batch mode (strip widths, incremental settling, sharding)
-   must return the same results as the narrow strip and as per-env runs *)
+(* the adaptive 8-word batch, a sharded batch over more than one 8-word
+   strip (504 envs), and per-env 1-word runs must all agree *)
 let test_run_batch_modes_agree () =
   let design = design_for "motivational" Thr_iplib.Catalog.table1 4 3 40_000 in
   let rtl = Rtl.elaborate ~width:16 design in
   let prng = Prng.create ~seed:23 in
   let envs =
-    List.init 150 (fun _ -> small_env prng design.Design.spec.Spec.dfg)
+    List.init 1100 (fun _ -> small_env prng design.Design.spec.Spec.dfg)
   in
-  let base = Rtl.run_batch ~strip_words:1 rtl envs in
+  let base = Rtl.run_batch rtl envs in
   List.iter
     (fun (lbl, rs) ->
       Alcotest.(check bool) (lbl ^ " bit-identical") true (rs = base))
     [
-      ("adaptive default", Rtl.run_batch rtl envs);
-      ("w=4", Rtl.run_batch ~strip_words:4 rtl envs);
-      ( "w=8 incremental",
-        Rtl.run_batch ~strip_words:8 ~incremental:true rtl envs );
-      ("sharded w=2", Rtl.run_batch ~jobs:3 ~strip_words:2 rtl envs);
+      ("sharded jobs=3", Rtl.run_batch ~jobs:3 rtl envs);
       ("per-env run", List.map (fun e -> Rtl.run rtl e) envs)
     ]
 

@@ -1,10 +1,10 @@
 (* Tests for the SAT subsystem: the CDCL solver against a brute-force
-   oracle, the CNF encoder against the packed simulator, and the BMC
+   oracle, the CNF encoder against the scalar simulator, and the BMC
    unroller against hand-computed reachability depths. *)
 
 module Netlist = Thr_gates.Netlist
 module Bus = Thr_gates.Bus
-module Packed = Thr_gates.Packed
+module Sim = Thr_gates.Sim
 module Circuits = Thr_trojan.Circuits
 module Solver = Thr_sat.Solver
 module Cnf = Thr_sat.Cnf
@@ -81,7 +81,7 @@ let test_pigeonhole_unsat () =
   Alcotest.check result "php(5,4)" Solver.Unsat (Solver.solve (pigeonhole 4));
   Alcotest.check result "php(7,6)" Solver.Unsat (Solver.solve (pigeonhole 6))
 
-let test_assumptions_incremental () =
+let test_incremental_assumptions () =
   let s = Solver.create () in
   let x = Solver.new_var s and y = Solver.new_var s in
   Solver.add_clause s [ x; y ];
@@ -201,10 +201,10 @@ let random_netlist script =
   nl
 
 (* The encoder's defining property: fix the frame's inputs with
-   assumptions and every in-cone variable must agree with the packed
+   assumptions and every in-cone variable must agree with the scalar
    simulator's settle of the same inputs over the power-on state. *)
-let cnf_matches_packed =
-  QCheck.Test.make ~name:"Cnf.of_cone models agree with Packed settle"
+let cnf_matches_sim =
+  QCheck.Test.make ~name:"Cnf.of_cone models agree with scalar Sim settle"
     ~count:120
     QCheck.(
       triple
@@ -227,18 +227,17 @@ let cnf_matches_packed =
       (match Solver.solve ~assumptions s with
       | Solver.Sat -> ()
       | _ -> QCheck.Test.fail_report "fully-driven cone must be Sat");
-      let sim = Packed.create nl in
-      Packed.reset sim;
-      Packed.set_input sim "a" (if va then 1 else 0);
-      Packed.set_input sim "b" (if vb then 1 else 0);
-      Packed.settle sim;
+      let sim = Sim.create nl in
+      Sim.set_input sim "a" va;
+      Sim.set_input sim "b" vb;
+      Sim.settle sim;
       Array.iter
         (fun net ->
           let v = Cnf.var frame net in
           if v <> 0 then begin
-            let want = Packed.peek_lane sim net 0 in
+            let want = Sim.peek sim net in
             if Solver.value s v <> want then
-              QCheck.Test.fail_reportf "net %d: cnf=%b packed=%b"
+              QCheck.Test.fail_reportf "net %d: cnf=%b sim=%b"
                 (Netlist.net_index net) (Solver.value s v) want
           end)
         (Netlist.nets_in_order nl);
@@ -444,11 +443,11 @@ let preprocess_preserves_sat =
 
 (* The portfolio's frame pipeline end to end: encode through a buffer
    sink, preprocess with the inputs frozen, solve, reconstruct — every
-   in-cone net of the reconstructed model must match the packed
+   in-cone net of the reconstructed model must match the scalar
    simulator bit for bit. *)
-let preprocessed_cnf_matches_packed =
+let preprocessed_cnf_matches_sim =
   QCheck.Test.make
-    ~name:"preprocessed frame reconstructs Packed settle bit-for-bit"
+    ~name:"preprocessed frame reconstructs scalar Sim settle bit-for-bit"
     ~count:80
     QCheck.(
       triple
@@ -490,18 +489,17 @@ let preprocessed_cnf_matches_packed =
       | Solver.Sat -> ()
       | _ -> QCheck.Test.fail_report "fully-driven cone must stay Sat");
       let model = Preprocess.extend pp ~n_vars (fun v -> Solver.value s v) in
-      let sim = Packed.create nl in
-      Packed.reset sim;
-      Packed.set_input sim "a" (if va then 1 else 0);
-      Packed.set_input sim "b" (if vb then 1 else 0);
-      Packed.settle sim;
+      let sim = Sim.create nl in
+      Sim.set_input sim "a" va;
+      Sim.set_input sim "b" vb;
+      Sim.settle sim;
       Array.iter
         (fun net ->
           let v = Cnf.var frame net in
           if v <> 0 then begin
-            let want = Packed.peek_lane sim net 0 in
+            let want = Sim.peek sim net in
             if model.(v) <> want then
-              QCheck.Test.fail_reportf "net %d: reconstructed=%b packed=%b"
+              QCheck.Test.fail_reportf "net %d: reconstructed=%b sim=%b"
                 (Netlist.net_index net) model.(v) want
           end)
         (Netlist.nets_in_order nl);
@@ -674,12 +672,12 @@ let () =
           Alcotest.test_case "empty clause" `Quick test_empty_clause;
           Alcotest.test_case "pigeonhole" `Quick test_pigeonhole_unsat;
           Alcotest.test_case "assumptions + incremental" `Quick
-            test_assumptions_incremental;
+            test_incremental_assumptions;
           Alcotest.test_case "budget -> Unknown" `Quick test_budget_unknown;
           Alcotest.test_case "bad literals" `Quick test_bad_literals;
           QCheck_alcotest.to_alcotest solver_matches_brute_force;
         ] );
-      ("cnf", [ QCheck_alcotest.to_alcotest cnf_matches_packed ]);
+      ("cnf", [ QCheck_alcotest.to_alcotest cnf_matches_sim ]);
       ( "bmc",
         [
           Alcotest.test_case "counter unreachable at 8" `Quick
@@ -702,7 +700,7 @@ let () =
             test_pp_frozen_unit_survives;
           Alcotest.test_case "pure literal" `Quick test_pp_pure_literal;
           QCheck_alcotest.to_alcotest preprocess_preserves_sat;
-          QCheck_alcotest.to_alcotest preprocessed_cnf_matches_packed;
+          QCheck_alcotest.to_alcotest preprocessed_cnf_matches_sim;
         ] );
       ( "induction",
         [
