@@ -142,6 +142,26 @@ let check_jobs jobs =
     exit 1
   end
 
+(* simulate --record's --width and --record-depth, checked before the
+   optimiser runs *)
+let check_record_flags ~width ~depth =
+  if width < T.Rtl.min_width || width > T.Rtl.max_width || depth < 1 then begin
+    T.Log.error "invalid_record_flags"
+      [ ("width", string_of_int width); ("record_depth", string_of_int depth);
+        ( "hint",
+          Printf.sprintf "--width must be in [%d, %d], --record-depth >= 1"
+            T.Rtl.min_width T.Rtl.max_width ) ];
+    Exit_code.exit Exit_code.Usage
+  end
+
+(* Rtl.elaborate rejects a width or an injection that does not fit with
+   Invalid_argument: a one-line usage error, not an uncaught exception. *)
+let elaborated f =
+  try f ()
+  with Invalid_argument msg ->
+    prerr_endline ("error: " ^ msg);
+    Exit_code.exit Exit_code.Usage
+
 let trace_flag =
   Arg.(
     value
@@ -261,7 +281,7 @@ let record_run ~design ~mutant ~seed ~width ~depth dir =
           "seq",
           "trojan-seq" )
   in
-  let rtl = T.Rtl.elaborate ~width ~injections design in
+  let rtl = elaborated (fun () -> T.Rtl.elaborate ~width ~injections design) in
   (* static analysis feeds the rare-net candidates into the watch-list *)
   let report = T.Rtl.check rtl in
   let watch = T.Rtl.watchlist ~report rtl in
@@ -389,6 +409,7 @@ let simulate_cmd =
         exit 1
     | Ok dfg, Ok catalog -> (
         check_jobs jobs;
+        if record <> None then check_record_flags ~width ~depth;
         setup_trace trace;
         let spec =
           make_spec dfg catalog ~detection_only:false ~latency ~latency_recover
@@ -651,7 +672,7 @@ let rtl_cmd =
             print_endline "no design found within the search budget";
             exit exit_budget
         | Ok { design; _ } ->
-            let rtl = T.Rtl.elaborate ~width design in
+            let rtl = elaborated (fun () -> T.Rtl.elaborate ~width design) in
             Printf.printf "%s\n" (T.Rtl.stats rtl);
             match verilog with
             | None -> ()
@@ -782,6 +803,7 @@ let lint_cmd =
             exit exit_budget
         | Ok { design; _ } ->
             let rtl =
+              elaborated @@ fun () ->
               match mutant with
               | `None -> T.Rtl.elaborate ~width design
               | `Bypass ->

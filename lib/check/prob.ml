@@ -1,7 +1,6 @@
 module Netlist = Thr_gates.Netlist
 module Packed = Thr_gates.Packed
 module Prng = Thr_util.Prng
-module Dpool = Thr_util.Dpool
 
 (* Calibrated between the two populations this repo elaborates: a
    full-width trigger condition (>= 32 specified pattern bits) scores
@@ -228,9 +227,10 @@ let empirical ?(cycles = 8) ?(jobs = 1) ~seed ~vectors nl =
   if vectors < 1 then invalid_arg "Prob.empirical: vectors < 1";
   if cycles < 1 then invalid_arg "Prob.empirical: cycles < 1";
   Netlist.finalise nl;
-  let names = Netlist.input_names nl in
   let input_tbl = Netlist.input_index nl in
-  let ids = List.map (fun nm -> Hashtbl.find input_tbl nm) names in
+  let ids =
+    List.map (fun nm -> [| Hashtbl.find input_tbl nm |]) (Netlist.input_names nl)
+  in
   let nets = Netlist.nets_in_order nl in
   let n = Netlist.n_nets nl in
   let prng = Prng.create ~seed in
@@ -239,13 +239,11 @@ let empirical ?(cycles = 8) ?(jobs = 1) ~seed ~vectors nl =
     gens.(j) <- Prng.split prng
   done;
   let cap = empirical_words * Packed.lanes in
-  let count_range lo hi =
+  let count_range st lo hi =
     let counts = Array.make n 0 in
-    let st = Packed.strip ~words:empirical_words nl in
     let j = ref lo in
     while !j < hi do
       let cnt = min cap (hi - !j) in
-      let wu = (cnt + Packed.lanes - 1) / Packed.lanes in
       Packed.strip_reset st;
       let gs = Array.init cnt (fun k -> Prng.copy gens.(!j + k)) in
       for _ = 1 to cycles do
@@ -254,16 +252,8 @@ let empirical ?(cycles = 8) ?(jobs = 1) ~seed ~vectors nl =
            latch — a full Sim.clock, but each pass carries
            [empirical_words] lane words of vectors *)
         List.iter
-          (fun id ->
-            for w = 0 to wu - 1 do
-              let base = w * Packed.lanes in
-              let c = min Packed.lanes (cnt - base) in
-              let word = ref 0 in
-              for k = 0 to c - 1 do
-                if Prng.bool gs.(base + k) then word := !word lor (1 lsl k)
-              done;
-              Packed.strip_poke st id w !word
-            done)
+          (fun bus ->
+            Packed.strip_drive st bus cnt (fun l -> Bool.to_int (Prng.bool gs.(l))))
           ids;
         Packed.strip_settle st;
         Packed.strip_latch st;
@@ -271,50 +261,19 @@ let empirical ?(cycles = 8) ?(jobs = 1) ~seed ~vectors nl =
         Array.iter
           (fun net ->
             let i = Netlist.net_index net in
-            let acc = ref 0 in
-            for w = 0 to wu - 1 do
-              let base = w * Packed.lanes in
-              let mask = Packed.lane_mask (min Packed.lanes (cnt - base)) in
-              acc :=
-                !acc
-                + Packed.popcount (Packed.strip_peek st net w land mask)
-            done;
-            counts.(i) <- counts.(i) + !acc)
+            counts.(i) <- counts.(i) + Packed.strip_count st i cnt)
           nets
       done;
       j := !j + cnt
     done;
     counts
   in
-  let groups = (vectors + cap - 1) / cap in
-  let counts =
-    if jobs <= 1 || groups <= 1 then count_range 0 vectors
-    else begin
-      ignore (Packed.strip ~words:empirical_words nl);
-      let shards = min groups (jobs * 2) in
-      let per = (groups + shards - 1) / shards in
-      let ranges =
-        List.init shards (fun s ->
-            let lo = s * per * cap in
-            (lo, min vectors (lo + (per * cap))))
-        |> List.filter (fun (lo, hi) -> lo < hi)
-      in
-      let partials =
-        Dpool.run ~jobs (fun pool ->
-            Dpool.map pool (fun (lo, hi) -> count_range lo hi) ranges)
-      in
-      let total = Array.make n 0 in
-      List.iter
-        (fun c ->
-          for i = 0 to n - 1 do
-            total.(i) <- total.(i) + c.(i)
-          done)
-        partials;
-      total
-    end
-  in
+  let total = Array.make n 0 in
+  List.iter
+    (Array.iteri (fun i c -> total.(i) <- total.(i) + c))
+    (Packed.sharded ~jobs ~words:empirical_words nl vectors count_range);
   let samples = float_of_int (vectors * cycles) in
-  Array.map (fun c -> float_of_int c /. samples) counts
+  Array.map (fun c -> float_of_int c /. samples) total
 
 let analyse ?iters ?(threshold = default_threshold) ?exclude nl =
   let p = signal_probabilities ?iters nl in

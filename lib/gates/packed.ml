@@ -494,6 +494,67 @@ let strip_peek_index st i w = st.sv.((i * st.sp.s_words) + w)
 
 let strip_peek st net w = strip_peek_index st (Netlist.net_index net) w
 
+(* --------------------------- lane transpose --------------------------- *)
+
+(* Lane [l] of a strip is bit [l mod lanes] of word [l / lanes].  The
+   writer scatters each lane's value over the bus words in lane order, so
+   [value] runs exactly once per lane, in order (per-lane generator
+   draws stay in sequence). *)
+let strip_drive st bus n value =
+  let nb = Array.length bus in
+  let acc = Array.make nb 0 in
+  for w = 0 to st.sp.s_words - 1 do
+    let base = w * lanes in
+    for k = 0 to min lanes (n - base) - 1 do
+      let v = value (base + k) in
+      if v <> 0 then
+        for i = 0 to nb - 1 do
+          if (v lsr i) land 1 = 1 then acc.(i) <- acc.(i) lor (1 lsl k)
+        done
+    done;
+    for i = 0 to nb - 1 do
+      strip_poke st bus.(i) w acc.(i);
+      acc.(i) <- 0
+    done
+  done
+
+let strip_lane st bus l =
+  let w = l / lanes and k = l mod lanes in
+  let v = ref 0 in
+  for i = Array.length bus - 1 downto 0 do
+    v := (!v lsl 1) lor ((strip_peek_index st bus.(i) w lsr k) land 1)
+  done;
+  !v
+
+let strip_count st net n =
+  let acc = ref 0 in
+  for w = 0 to min st.sp.s_words ((n + lanes - 1) / lanes) - 1 do
+    acc :=
+      !acc + popcount (strip_peek_index st net w land lane_mask (n - (w * lanes)))
+  done;
+  !acc
+
+(* Contiguous strip-aligned shards, a couple per domain for balance:
+   the strip tape is warmed once in the calling domain, then every shard
+   gets its own simulator state. *)
+let sharded ~jobs ~words nl n f =
+  let cap = words * lanes in
+  let groups = (n + cap - 1) / cap in
+  if jobs <= 1 || groups <= 1 then [ f (strip ~words nl) 0 n ]
+  else begin
+    ignore (strip_tape nl words);
+    let shards = min groups (jobs * 2) in
+    let per = (groups + shards - 1) / shards in
+    let ranges =
+      List.init shards (fun sh ->
+          let lo = sh * per * cap in
+          (lo, min n (lo + (per * cap))))
+      |> List.filter (fun (lo, hi) -> lo < hi)
+    in
+    Dpool.run ~jobs (fun pool ->
+        Dpool.map pool (fun (lo, hi) -> f (strip ~words nl) lo hi) ranges)
+  end
+
 (* ------------------------- strip settle kernels ------------------------- *)
 
 (* One unrolled kernel per strip width: the opcode dispatch happens once
@@ -841,7 +902,6 @@ let run_strips_into st b bits lo hi =
 
 let run_strips ?(jobs = 1) ?(words = 8) nl b =
   let n = b.b_n in
-  let cap = words * lanes in
   Trace.with_span "sim.run"
     ~args:
       [
@@ -854,27 +914,10 @@ let run_strips ?(jobs = 1) ?(words = 8) nl b =
       let n_out = Array.length sp.s_tp.t_out_nets in
       let bits = Array.init n (fun _ -> Array.make n_out false) in
       let t0 = Trace.now_us () in
-      if jobs <= 1 || n <= cap then
-        run_strips_into (strip ~words nl) b bits 0 n
-      else begin
-        (* contiguous strip-aligned shards, a couple per domain for
-           balance; rows are disjoint so domains never share a cell *)
-        let groups = (n + cap - 1) / cap in
-        let shards = min groups (jobs * 2) in
-        let per = (groups + shards - 1) / shards in
-        let ranges =
-          List.init shards (fun sh ->
-              let lo = sh * per * cap in
-              (lo, min n (lo + (per * cap))))
-          |> List.filter (fun (lo, hi) -> lo < hi)
-        in
-        Dpool.run ~jobs (fun pool ->
-            ignore
-              (Dpool.map pool
-                 (fun (lo, hi) ->
-                   run_strips_into (strip ~words nl) b bits lo hi)
-                 ranges))
-      end;
+      (* rows are disjoint, so shards never share a cell *)
+      ignore
+        (sharded ~jobs ~words nl n (fun st lo hi ->
+             run_strips_into st b bits lo hi));
       observe_throughput n t0;
       { out_names = out_names_of sp.s_tp; out_bits = bits })
 

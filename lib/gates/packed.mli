@@ -213,6 +213,36 @@ val strip_peek : strip -> Netlist.net -> int -> int
 val strip_peek_index : strip -> int -> int -> int
 (** Same by raw net index (see {!Netlist.net_index}). *)
 
+(** {2 Lane transpose}
+
+    Lane [l] of a strip is bit [l mod lanes] of lane word [l / lanes].
+    A {e bus} is an array of raw net indices, least significant bit
+    first, of at most {!lanes} nets. *)
+
+val strip_drive : strip -> int array -> int -> (int -> int) -> unit
+(** [strip_drive st bus n value] drives input bus [bus] in lanes
+    [0, n) with [value l] (bit [i] onto [bus.(i)]) and every other lane
+    with 0.  [value] is called exactly once per lane, in lane order, so
+    per-lane generator draws stay in sequence; word [w] is poked only
+    after all of its lanes were computed. *)
+
+val strip_lane : strip -> int array -> int -> int
+(** [strip_lane st bus l]: lane [l] of [bus] as an unsigned int. *)
+
+val strip_count : strip -> int -> int -> int
+(** [strip_count st net n]: lanes in [0, n) where net index [net] is 1
+    (the masked popcount over the strip's words). *)
+
+val sharded :
+  jobs:int -> words:int -> Netlist.t -> int -> (strip -> int -> int -> 'a) ->
+  'a list
+(** [sharded ~jobs ~words nl n f] runs [f st lo hi] over [[0, n)] cut
+    into contiguous ranges aligned to [words * lanes] items, each with a
+    fresh [words]-word strip [st] of [nl].  When [jobs <= 1] or [n] fits
+    one strip pass that is the single call [f st 0 n]; otherwise
+    [min groups (2 * jobs)] shards over a {!Thr_util.Dpool}, the strip
+    tape warmed once first.  Results come in range order. *)
+
 val run_strips : ?jobs:int -> ?words:int -> Netlist.t -> batch -> outputs
 (** The batch runner: [words * lanes] vectors per tape pass, fused
     clock, resetting between strips, sharded over [jobs] domains

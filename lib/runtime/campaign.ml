@@ -268,7 +268,6 @@ let cosim ?(config = default_config) ?(jobs = 1) ?(width = 16) ~prng ~vectors
   (* environments drawn from the shared generator, like campaign trials *)
   let envs = List.init vectors (fun _ -> random_env config prng dfg) in
   let results = Rtl.run_batch ~jobs rtl envs in
-  let m = 1 lsl width in
   let mismatches = ref 0 and first_bad = ref None in
   let detections = ref 0 and first_detect = ref None in
   List.iter2
@@ -280,15 +279,7 @@ let cosim ?(config = default_config) ?(jobs = 1) ?(width = 16) ~prng ~vectors
           | Some c' when c' <= c -> ()
           | _ -> first_detect := Some c)
       | None -> ());
-      let golden = Eval.outputs dfg env in
-      let agrees =
-        (not r.Rtl.r_mismatch)
-        && List.for_all2
-             (fun (o, g) (o', v) ->
-               (* the netlist computes modulo 2^width *)
-               o = o' && (g - v) land (m - 1) = 0)
-             golden r.Rtl.r_final
-      in
+      let agrees = (not r.Rtl.r_mismatch) && Rtl.golden_agrees rtl env r in
       if not agrees then begin
         incr mismatches;
         if !first_bad = None then first_bad := Some env
@@ -366,7 +357,6 @@ let cosim_mutants ?(config = default_config) ?(width = 16) ~prng ~vectors
   in
   let rtl = Rtl.elaborate ~width ~gated_injections design in
   let results = Rtl.run_mutant_batch rtl envs in
-  let m = (1 lsl width) - 1 in
   let clean_ok = ref true in
   let stats =
     Array.of_list
@@ -384,14 +374,8 @@ let cosim_mutants ?(config = default_config) ?(width = 16) ~prng ~vectors
   List.iter2
     (fun env mr ->
       let clean = mr.Rtl.m_clean in
-      let golden = Eval.outputs dfg env in
-      if
-        clean.Rtl.r_mismatch
-        || not
-             (List.for_all2
-                (fun (o, g) (o', v) -> o = o' && (g - v) land m = 0)
-                golden clean.Rtl.r_final)
-      then clean_ok := false;
+      if clean.Rtl.r_mismatch || not (Rtl.golden_agrees rtl env clean) then
+        clean_ok := false;
       List.iteri
         (fun i (_, r) ->
           let s = stats.(i) in

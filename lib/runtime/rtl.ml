@@ -14,7 +14,6 @@ module Bus = Thr_gates.Bus
 module Word = Thr_gates.Word
 module Sim = Thr_gates.Sim
 module Packed = Thr_gates.Packed
-module Dpool = Thr_util.Dpool
 module Check = Thr_check.Check
 module Taint = Thr_check.Taint
 module Finding = Thr_check.Finding
@@ -144,15 +143,42 @@ let vendor_of t net =
   in
   go t.vendor_regions
 
+(* Core instances and the copies they execute (latest copy first), keyed
+   on (vendor id, IP type index, instance). *)
+let cores_of design =
+  let spec = design.Design.spec in
+  let binding = design.Design.binding in
+  let assignment =
+    Binding.instance_assignment spec design.Design.schedule binding
+  in
+  let cores = Hashtbl.create 32 in
+  for idx = 0 to Copy.count spec - 1 do
+    let ty = Spec.iptype_of_op spec (Copy.of_index spec idx).Copy.op in
+    let key =
+      (Vendor.id (Binding.vendor binding idx), Iptype.to_index ty, assignment.(idx))
+    in
+    let existing = Option.value ~default:[] (Hashtbl.find_opt cores key) in
+    Hashtbl.replace cores key (idx :: existing)
+  done;
+  cores
+
 (* THLS_ELAB_CHECK=0 disables the post-elaboration taint assertion *)
 let elab_check_enabled () =
   match Sys.getenv_opt "THLS_ELAB_CHECK" with
   | Some ("0" | "false" | "no" | "off") -> false
   | _ -> true
 
+let min_width = 6
+
+let max_width = Sys.int_size - 2
+
 let elaborate ?(width = 16) ?(injections = []) ?(gated_injections = [])
     ?seeded_bug design =
-  if width < 6 then invalid_arg "Rtl.elaborate: width must be at least 6";
+  if width < min_width then
+    invalid_arg "Rtl.elaborate: width must be at least 6";
+  if width > max_width then
+    invalid_arg
+      (Printf.sprintf "Rtl.elaborate: width must be at most %d" max_width);
   (match Design.validate design with
   | [] -> ()
   | problems ->
@@ -200,17 +226,7 @@ let elaborate ?(width = 16) ?(injections = []) ?(gated_injections = [])
   let sel_step s =
     match step_eq.(s) with Some n -> n | None -> assert false
   in
-  (* core instances and the copies they execute *)
-  let assignment = Binding.instance_assignment spec design.Design.schedule design.Design.binding in
-  let cores = Hashtbl.create 32 in
-  for idx = 0 to n_copies - 1 do
-    let c = Copy.of_index spec idx in
-    let v = Binding.vendor design.Design.binding idx in
-    let ty = Spec.iptype_of_op spec c.Copy.op in
-    let key = (Vendor.id v, Iptype.to_index ty, assignment.(idx)) in
-    let existing = match Hashtbl.find_opt cores key with Some l -> l | None -> [] in
-    Hashtbl.replace cores key (idx :: existing)
-  done;
+  let cores = cores_of design in
   let injection_for vid ti =
     List.find_opt
       (fun inj ->
@@ -468,21 +484,7 @@ let canned_sequential_injection ~width design =
   let spec = design.Design.spec in
   let dfg = spec.Spec.dfg in
   let mask = (1 lsl min width 16) - 1 in
-  let n_copies = Copy.count spec in
-  let assignment =
-    Binding.instance_assignment spec design.Design.schedule design.Design.binding
-  in
-  let cores = Hashtbl.create 32 in
-  for idx = 0 to n_copies - 1 do
-    let c = Copy.of_index spec idx in
-    let v = Binding.vendor design.Design.binding idx in
-    let ty = Spec.iptype_of_op spec c.Copy.op in
-    let key = (Vendor.id v, Iptype.to_index ty, assignment.(idx)) in
-    let existing =
-      match Hashtbl.find_opt cores key with Some l -> l | None -> []
-    in
-    Hashtbl.replace cores key (idx :: existing)
-  done;
+  let cores = cores_of design in
   let step_of idx = Schedule.step design.Design.schedule idx in
   (* both operand slots read distinct primary inputs: the trigger
      condition at this copy's cycle is freely controllable *)
@@ -556,27 +558,15 @@ type result = {
   r_final : (int * int) list;
 }
 
-(* First-detection cycle for lane [k] from the per-cycle mismatch lane
-   words [mhist] (index [c - 1] holds the value after clock edge [c]).
-   NC and RC copies of the same operation complete at different schedule
-   steps, so the comparator can be transiently high mid-run even on a
-   clean design; what marks a detection is the level that is still high
-   when the run ends (result registers hold once their step has passed,
-   so a real divergence latches).  The detection cycle is the start of
-   that final contiguous high run. *)
-let first_detect_of mhist k =
-  let n = Array.length mhist in
-  if n = 0 || (mhist.(n - 1) lsr k) land 1 = 0 then None
-  else begin
-    let c = ref n in
-    while !c > 1 && (mhist.(!c - 2) lsr k) land 1 = 1 do
-      decr c
-    done;
-    Some !c
-  end
-
-(* Same over the strip runner's flattened cycle-major history: entry
-   [(c - 1) * s + w] holds lane word [w] of stride [s] after edge [c]. *)
+(* First-detection cycle for lane [k] of lane word [w] from the strip
+   runner's flattened cycle-major mismatch history: entry [(c - 1) * s +
+   w] holds lane word [w] of stride [s] after clock edge [c].  NC and RC
+   copies of the same operation complete at different schedule steps,
+   so the comparator can be transiently high mid-run even on a clean
+   design; what marks a detection is the level that is still high when
+   the run ends (result registers hold once their step has passed, so a
+   real divergence latches).  The detection cycle is the start of that
+   final contiguous high run. *)
 let first_detect_strided mh s w k =
   let cycles = Array.length mh / s in
   if cycles = 0 || (mh.(((cycles - 1) * s) + w) lsr k) land 1 = 0 then None
@@ -591,124 +581,121 @@ let first_detect_strided mh s w k =
 let sign_extend width v =
   if v land (1 lsl (width - 1)) <> 0 then v - (1 lsl width) else v
 
-(* Pre-resolved net indices of every primary input bit, so the hot
-   chunk loop pokes by index instead of formatting "<nm>.<i>" names. *)
-let input_bit_ids t =
-  let tbl = Netlist.input_index t.netlist in
-  let dfg = t.design.Design.spec.Spec.dfg in
-  List.map
-    (fun nm ->
-      ( nm,
-        Array.init t.width (fun i ->
-            Hashtbl.find tbl (Printf.sprintf "%s.%d" nm i)) ))
-    (Dfg.inputs dfg)
-
-(* Simulate environments [lo, hi) of [envs] lane-packed on one strip
-   simulator, writing each result into its slot of [results].  Inputs
-   are held constant while the design clocks through both phases, so one
-   lane word per input bit carries up to [Packed.lanes] environments and
-   one strip pass carries [strip_words * Packed.lanes] of them.  The
-   clock is fused (one settle up front, then latch + settle per edge),
-   which is bit-identical to a settle/latch/settle clock under constant
-   inputs. *)
-let run_chunks t st input_ids envs results lo hi =
+(* The one place an [Eval.env] is read: its input values in [Dfg.inputs]
+   order, modulo 2^width. *)
+let resolve_env t who env =
   let vmask = (1 lsl t.width) - 1 in
+  Array.of_list
+    (List.map
+       (fun nm ->
+         match List.assoc_opt nm env with
+         | Some v -> v land vmask
+         | None ->
+             invalid_arg (Printf.sprintf "Rtl.%s: missing input %S" who nm))
+       (Dfg.inputs t.design.Design.spec.Spec.dfg))
+
+let golden_agrees t env r =
+  let vmask = (1 lsl t.width) - 1 in
+  List.for_all2
+    (fun (o, g) (o', v) -> o = o' && (g - v) land vmask = 0)
+    (Eval.outputs t.design.Design.spec.Spec.dfg env)
+    r.r_final
+
+(* The one lane-packed runner.  Environments [lo, hi) of [vals] (rows of
+   {!resolve_env}) are laid out in lane groups of [g] lanes,
+   [per = lanes / g] groups to a lane word: the [r]-th environment of a
+   strip pass owns lanes [(r mod per) * g] to [(r mod per) * g + g - 1]
+   of word [r / per].  Lane 0 of a group holds every arming gate low (the
+   clean circuit) and lane [k + 1] raises gate [k] only, so [g = 1] is a
+   plain batch.  Inputs are held constant while the design clocks through
+   both phases, so the clock is fused (one settle up front, then latch +
+   settle per edge), which is bit-identical to a settle/latch/settle
+   clock under constant inputs.  [on_cycle c] runs after the settle of
+   edge [c].  Returns [of_group read] per environment, in order, where
+   [read k] is the environment's result in group lane [k]. *)
+let run_strip t st ~g ~on_cycle vals lo hi of_group =
+  let lanes = Packed.lanes in
   let s = Packed.strip_words st in
-  let cap = s * Packed.lanes in
+  let per = lanes / g in
+  let tbl = Netlist.input_index t.netlist in
+  let input_ids =
+    Array.of_list
+      (List.map
+         (fun nm ->
+           Array.init t.width (fun i ->
+               Hashtbl.find tbl (Printf.sprintf "%s.%d" nm i)))
+         (Dfg.inputs t.design.Design.spec.Spec.dfg))
+  in
+  let gate_ids =
+    if g = 1 then []
+    else List.map (fun nm -> [| Hashtbl.find tbl nm |]) t.mutant_gates
+  in
+  let ids = List.map (fun (o, bus) -> (o, Array.map Netlist.net_index bus)) in
+  let nc = ids t.nc_outputs and rc = ids t.rc_outputs in
+  let rv = ids t.rv_outputs in
+  let final = match t.final_outputs with [] -> nc | l -> ids l in
   let mi = Netlist.net_index t.mismatch in
   let mh = Array.make (t.total_cycles * s) 0 in
+  let out = ref [] in
   let j = ref lo in
   while !j < hi do
-    let count = min cap (hi - !j) in
-    let words_used = (count + Packed.lanes - 1) / Packed.lanes in
+    let count = min (s * per) (hi - !j) in
+    let words_used = (count + per - 1) / per in
+    let n_lanes = words_used * lanes in
     Packed.strip_reset st;
-    List.iter
-      (fun (nm, ids) ->
-        let vals =
-          Array.init count (fun k ->
-              match List.assoc_opt nm envs.(!j + k) with
-              | Some v -> v land vmask
-              | None ->
-                  invalid_arg (Printf.sprintf "Rtl.run: missing input %S" nm))
-        in
-        for i = 0 to t.width - 1 do
-          let id = ids.(i) in
-          for w = 0 to words_used - 1 do
-            let base = w * Packed.lanes in
-            let cnt = min Packed.lanes (count - base) in
-            let word = ref 0 in
-            for k = 0 to cnt - 1 do
-              if (vals.(base + k) lsr i) land 1 = 1 then
-                word := !word lor (1 lsl k)
-            done;
-            Packed.strip_poke st id w !word
-          done
-        done)
+    Array.iteri
+      (fun x bus ->
+        Packed.strip_drive st bus n_lanes (fun l ->
+            let slot = l mod lanes / g in
+            let r = (l / lanes * per) + slot in
+            if slot < per && r < count then vals.(!j + r).(x) else 0))
       input_ids;
+    List.iteri
+      (fun k bus ->
+        Packed.strip_drive st bus n_lanes (fun l ->
+            Bool.to_int (l mod lanes mod g = k + 1)))
+      gate_ids;
     Packed.strip_settle st;
     for c = 1 to t.total_cycles do
       Packed.strip_latch st;
       Packed.strip_settle st;
       for w = 0 to words_used - 1 do
         mh.(((c - 1) * s) + w) <- Packed.strip_peek_index st mi w
-      done
+      done;
+      on_cycle c
     done;
-    for k = 0 to count - 1 do
-      let w = k / Packed.lanes and lk = k mod Packed.lanes in
-      let lane net = (Packed.strip_peek st net w lsr lk) land 1 = 1 in
-      let read (o, bus) = (o, sign_extend t.width (Bus.to_int lane bus)) in
-      results.(!j + k) <-
-        Some
-          {
-            r_mismatch = lane t.mismatch;
-            r_first_detect = first_detect_strided mh s w lk;
-            r_nc = List.map read t.nc_outputs;
-            r_rc = List.map read t.rc_outputs;
-            r_rv = List.map read t.rv_outputs;
-            r_final =
-              List.map read
-                (match t.final_outputs with [] -> t.nc_outputs | l -> l);
-          }
+    for r = 0 to count - 1 do
+      let w = r / per and base = r mod per * g in
+      let read_lane k =
+        let l = (w * lanes) + base + k in
+        let read (o, bus) =
+          (o, sign_extend t.width (Packed.strip_lane st bus l))
+        in
+        {
+          r_mismatch = Packed.strip_lane st [| mi |] l = 1;
+          r_first_detect = first_detect_strided mh s w (base + k);
+          r_nc = List.map read nc;
+          r_rc = List.map read rc;
+          r_rv = List.map read rv;
+          r_final = List.map read final;
+        }
+      in
+      out := of_group read_lane :: !out
     done;
     j := !j + count
-  done
+  done;
+  List.rev !out
 
 let run_batch ?(jobs = 1) t envs =
-  let envs = Array.of_list envs in
-  let n = Array.length envs in
+  let vals = Array.of_list (List.map (resolve_env t "run") envs) in
+  let n = Array.length vals in
   (* single environments (thls simulate's common case) stay on the
      narrow strip; batches wide enough to fill more than one lane word
      take the full 8-word strip *)
   let words = if n > Packed.lanes then 8 else 1 in
-  let input_ids = input_bit_ids t in
-  let results = Array.make n None in
-  let cap = words * Packed.lanes in
-  let groups = (n + cap - 1) / cap in
-  if jobs <= 1 || groups <= 1 then
-    run_chunks t (Packed.strip ~words t.netlist) input_ids envs results 0 n
-  else begin
-    (* warm the shared strip-tape cache once, then hand each domain its
-       own simulator state over contiguous strip-aligned shards; each
-       writes a disjoint slice of [results] *)
-    ignore (Packed.strip ~words t.netlist);
-    let shards = min groups (jobs * 2) in
-    let per = (groups + shards - 1) / shards in
-    let ranges =
-      List.init shards (fun s ->
-          let lo = s * per * cap in
-          (lo, min n (lo + (per * cap))))
-      |> List.filter (fun (lo, hi) -> lo < hi)
-    in
-    Dpool.run ~jobs (fun pool ->
-        ignore
-          (Dpool.map pool
-             (fun (lo, hi) ->
-               run_chunks t (Packed.strip ~words t.netlist) input_ids envs
-                 results lo hi)
-             ranges))
-  end;
-  Array.to_list results
-  |> List.map (function Some r -> r | None -> assert false)
+  List.concat
+    (Packed.sharded ~jobs ~words t.netlist n (fun st lo hi ->
+         run_strip t st ~g:1 ~on_cycle:ignore vals lo hi (fun read -> read 0)))
 
 let run t env = match run_batch t [ env ] with [ r ] -> r | _ -> assert false
 
@@ -717,89 +704,24 @@ type mutant_result = {
   m_mutants : (string * result) list;
 }
 
-(* Concurrent fault simulation: every environment occupies one strip
-   word, with its input bits replicated across all lanes; lane 0 leaves
-   every arming gate low (the golden circuit) and lane [g + 1] raises
-   only gate [g], so a single strip pass scores the clean design plus
-   every mutant against the same stimulus. *)
+(* Concurrent fault simulation: each environment takes one lane group
+   of [gates + 1] lanes (clean lane 0, then one armed mutant per lane),
+   so a single strip pass scores the clean design plus every mutant
+   against up to [8 * (lanes / g)] stimuli. *)
 let run_mutant_batch t envs =
   let gates = t.mutant_gates in
   if gates = [] then
     invalid_arg "Rtl.run_mutant_batch: design has no gated injections";
-  let vmask = (1 lsl t.width) - 1 in
-  let envs = Array.of_list envs in
-  let n = Array.length envs in
-  let all = Packed.lane_mask Packed.lanes in
-  let input_ids = input_bit_ids t in
-  let tbl = Netlist.input_index t.netlist in
-  let gate_ids = List.mapi (fun g nm -> (g, Hashtbl.find tbl nm)) gates in
-  let results = Array.make n None in
-  let mi = Netlist.net_index t.mismatch in
-  let s = if n >= 2 then 8 else 1 in
-  let st = Packed.strip ~words:s t.netlist in
-  let mh = Array.make (t.total_cycles * s) 0 in
-  let j = ref 0 in
-  while !j < n do
-    let count = min s (n - !j) in
-    Packed.strip_reset st;
-    List.iter
-      (fun (nm, ids) ->
-        let vals =
-          Array.init count (fun w ->
-              match List.assoc_opt nm envs.(!j + w) with
-              | Some v -> v land vmask
-              | None ->
-                  invalid_arg
-                    (Printf.sprintf "Rtl.run_mutant_batch: missing input %S"
-                       nm))
-        in
-        for i = 0 to t.width - 1 do
-          for w = 0 to count - 1 do
-            Packed.strip_poke st ids.(i) w
-              (if (vals.(w) lsr i) land 1 = 1 then all else 0)
-          done
-        done)
-      input_ids;
-    List.iter
-      (fun (g, id) ->
-        for w = 0 to count - 1 do
-          Packed.strip_poke st id w (1 lsl (g + 1))
-        done)
-      gate_ids;
-    Packed.strip_settle st;
-    for c = 1 to t.total_cycles do
-      Packed.strip_latch st;
-      Packed.strip_settle st;
-      for w = 0 to count - 1 do
-        mh.(((c - 1) * s) + w) <- Packed.strip_peek_index st mi w
-      done
-    done;
-    for w = 0 to count - 1 do
-      let read_lane k =
-        let lane net = (Packed.strip_peek st net w lsr k) land 1 = 1 in
-        let read (o, bus) = (o, sign_extend t.width (Bus.to_int lane bus)) in
-        {
-          r_mismatch = lane t.mismatch;
-          r_first_detect = first_detect_strided mh s w k;
-          r_nc = List.map read t.nc_outputs;
-          r_rc = List.map read t.rc_outputs;
-          r_rv = List.map read t.rv_outputs;
-          r_final =
-            List.map read
-              (match t.final_outputs with [] -> t.nc_outputs | l -> l);
-        }
-      in
-      results.(!j + w) <-
-        Some
-          {
-            m_clean = read_lane 0;
-            m_mutants = List.mapi (fun g nm -> (nm, read_lane (g + 1))) gates;
-          }
-    done;
-    j := !j + count
-  done;
-  Array.to_list results
-  |> List.map (function Some r -> r | None -> assert false)
+  let g = List.length gates + 1 in
+  let vals = Array.of_list (List.map (resolve_env t "run_mutant_batch") envs) in
+  let n = Array.length vals in
+  let words = if n > Packed.lanes / g then 8 else 1 in
+  run_strip t (Packed.strip ~words t.netlist) ~g ~on_cycle:ignore vals 0 n
+    (fun read ->
+      {
+        m_clean = read 0;
+        m_mutants = List.mapi (fun k nm -> (nm, read (k + 1))) gates;
+      })
 
 (* ------------------------- recorded (flight) runs ------------------------- *)
 
@@ -864,37 +786,15 @@ let run_recorded ?(depth = 256) ?watch ?(cls = "") t env =
   let nets = Array.of_list (List.map (fun w -> w.w_index) watch) in
   let rares = Array.of_list (List.map (fun w -> w.w_rare) watch) in
   let recorder = Recorder.create ~names ~depth () in
+  let vals = [| resolve_env t "run_recorded" env |] in
   let st = Packed.strip ~words:1 t.netlist in
-  let dfg = t.design.Design.spec.Spec.dfg in
-  let vmask = (1 lsl t.width) - 1 in
-  List.iter
-    (fun nm ->
-      let v =
-        match List.assoc_opt nm env with
-        | Some v -> v land vmask
-        | None ->
-            invalid_arg (Printf.sprintf "Rtl.run_recorded: missing input %S" nm)
-      in
-      for i = 0 to t.width - 1 do
-        Packed.strip_set_input st
-          (Printf.sprintf "%s.%d" nm i)
-          0
-          ((v lsr i) land 1)
-      done)
-    (Dfg.inputs dfg);
   let scratch = Array.make (Array.length nets) 0 in
-  let mhist = Array.make t.total_cycles 0 in
   let fired = Array.make (Array.length nets) false in
-  (* inputs stay constant, so the clock is fused like run_chunks' *)
-  Packed.strip_settle st;
-  for c = 1 to t.total_cycles do
-    Packed.strip_latch st;
-    Packed.strip_settle st;
+  let on_cycle c =
     Array.iteri
       (fun i net -> scratch.(i) <- Packed.strip_peek_index st net 0)
       nets;
     Recorder.push recorder ~cycle:c scratch;
-    mhist.(c - 1) <- Packed.strip_peek st t.mismatch 0;
     Array.iteri
       (fun i rare ->
         match rare with
@@ -905,27 +805,18 @@ let run_recorded ?(depth = 256) ?watch ?(cls = "") t env =
               Journal.Trigger_candidate_active
         | _ -> ())
       rares
-  done;
-  let lane net = Packed.strip_peek st net 0 land 1 = 1 in
-  let read (o, bus) = (o, sign_extend t.width (Bus.to_int lane bus)) in
-  let first = first_detect_of mhist 0 in
-  let result =
-    {
-      r_mismatch = lane t.mismatch;
-      r_first_detect = first;
-      r_nc = List.map read t.nc_outputs;
-      r_rc = List.map read t.rc_outputs;
-      r_rv = List.map read t.rv_outputs;
-      r_final =
-        List.map read
-          (match t.final_outputs with [] -> t.nc_outputs | l -> l);
-    }
   in
+  let result =
+    match run_strip t st ~g:1 ~on_cycle vals 0 1 (fun read -> read 0) with
+    | [ r ] -> r
+    | _ -> assert false
+  in
+  let first = result.r_first_detect in
   let spec = t.design.Design.spec in
   (match first with
   | Some c ->
       Journal.emit ~cycle:c
-        ~ctx:[ ("signal", "mismatch"); ("design", Dfg.name dfg) ]
+        ~ctx:[ ("signal", "mismatch"); ("design", Dfg.name spec.Spec.dfg) ]
         Journal.Mismatch_detected;
       Journal.observe_detection_latency ~cls c
   | None -> ());
@@ -936,15 +827,10 @@ let run_recorded ?(depth = 256) ?watch ?(cls = "") t env =
         ~cycle:(min (ld + 1) t.total_cycles)
         ~ctx:[ ("copies", "recovery") ]
         Journal.Recovery_started;
-      let golden = Eval.outputs dfg env in
-      let ok =
-        List.for_all2
-          (fun (o, g) (o', v) -> o = o' && (g - v) land vmask = 0)
-          golden result.r_final
-      in
       Journal.emit ~cycle:t.total_cycles
         ~ctx:[ ("latency_cycles", string_of_int (t.total_cycles - ld)) ]
-        (if ok then Journal.Recovery_ok else Journal.Recovery_failed);
+        (if golden_agrees t env result then Journal.Recovery_ok
+         else Journal.Recovery_failed);
       Journal.observe_recovery_latency ~cls (t.total_cycles - ld)
   | _ -> ());
   { rec_result = result; rec_window = Recorder.window recorder; rec_watch = watch }

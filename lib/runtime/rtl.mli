@@ -45,6 +45,12 @@ type seeded_bug = Comparator_skip
         from the mismatch comparator, so an NC core output reaches the
         pins unobserved — the bug class the taint pass must catch. *)
 
+val min_width : int
+
+val max_width : int
+(** The datapath widths {!elaborate} accepts: 6 to [Sys.int_size - 2]
+    (61 on 64-bit), so [1 lsl width] stays a positive [int]. *)
+
 val elaborate :
   ?width:int ->
   ?injections:Engine.injection list ->
@@ -52,8 +58,9 @@ val elaborate :
   ?seeded_bug:seeded_bug ->
   Thr_hls.Design.t ->
   t
-(** [elaborate design] builds the netlist.  [width] (default 16, minimum 6)
-    is the datapath word size; DFG values are computed modulo [2^width].
+(** [elaborate design] builds the netlist.  [width] (default 16, in
+    [[min_width, max_width]]) is the datapath word size; DFG values are
+    computed modulo [2^width].
 
     Each [gated_injections] entry [(name, inj)] inserts [inj] like an
     ordinary injection but ANDs its trigger with a fresh single-bit
@@ -68,7 +75,8 @@ val elaborate :
     {!Thr_check.Taint} pass: every primary output must be dominated by
     the mismatch comparator.
 
-    @raise Invalid_argument if the design is invalid, an injection's
+    @raise Invalid_argument if [width] is out of range, the design is
+    invalid, an injection's
     trigger patterns/mask or payload mask do not fit in [width] bits, or
     more than [Thr_gates.Packed.lanes - 1] gated injections are given.
     @raise Failure if the post-elaboration taint check finds an
@@ -137,6 +145,26 @@ type result = {
       (** the output mux ([r_nc] for detection-only designs) *)
 }
 
+val golden_agrees : t -> Thr_dfg.Eval.env -> result -> bool
+(** [golden_agrees t env r]: every [r_final] output equals the
+    behavioural {!Thr_dfg.Eval.outputs} of [env] modulo [2^width] — the
+    one golden comparison behind cosim, fault simulation and the
+    recorded run's [Recovery_ok]. *)
+
+(** {1 Lane-packed runs}
+
+    {!run_batch}, {!run_mutant_batch} and {!run_recorded} share one
+    runner on the gate engine ({!Thr_gates.Packed.strip}).  Each
+    environment is resolved once to its input values (modulo
+    [2^width]) and takes one {e lane group} of [g] lanes:
+    [lanes / g] groups fill a lane word and a strip pass carries 1 or 8
+    words.  Lane 0 of a group runs with every arming gate low (the clean
+    circuit); lane [k + 1] raises only gate [k] of [mutant_gates].
+    Inputs are held constant, so the clock is fused: one settle, then a
+    latch and a settle per edge, bit-identical to {!Thr_gates.Sim.clock}
+    under constant inputs.  Every environment is an independent
+    power-on run of the netlist. *)
+
 val run : t -> Thr_dfg.Eval.env -> result
 (** Drive the primary inputs (values taken modulo [2^width]), clock through
     both phases and read the registers.  Equivalent to a one-element
@@ -144,15 +172,13 @@ val run : t -> Thr_dfg.Eval.env -> result
     repeated calls never re-walk the netlist. *)
 
 val run_batch : ?jobs:int -> t -> Thr_dfg.Eval.env list -> result list
-(** [run] over many environments at once on the gate engine
-    ({!Thr_gates.Packed.strip}): environments are packed one per lane,
-    {!Thr_gates.Packed.lanes} per lane word, and each fused-clock
-    simulation pass carries one strip.  The strip width follows the
-    batch: 1 word when it fits a single lane word, 8 words otherwise.
-    With [jobs > 1], strip-aligned slices of the batch fan out across a
-    {!Thr_util.Dpool}.  Results are in input order and identical to
-    mapping {!run} (every environment is an independent power-on run of
-    the netlist), for any [jobs].
+(** [run] over many environments at once, one lane per environment
+    ([g = 1]), {!Thr_gates.Packed.lanes} to a lane word.  The strip
+    width follows the batch: 1 word when it fits a single lane word, 8
+    words otherwise.  With [jobs > 1], strip-aligned slices of the batch
+    fan out across a {!Thr_util.Dpool} ({!Thr_gates.Packed.sharded}).
+    Results are in input order and identical to mapping {!run}, for any
+    [jobs].
 
     @raise Invalid_argument if an environment misses a primary input. *)
 
@@ -166,14 +192,15 @@ type mutant_result = {
 }
 
 val run_mutant_batch : t -> Thr_dfg.Eval.env list -> mutant_result list
-(** For an elaboration with [gated_injections]: run every environment
-    once with the clean circuit in lane 0 and mutant [g] armed in lane
-    [g + 1], one environment per strip word (an 8-word strip for two or
-    more environments, 1 word otherwise) — the whole trojan zoo is
-    scored against each stimulus in a single simulation of one netlist.
-    [m_clean] is bit-identical to {!run} of the un-gated elaboration and
-    each [m_mutants] entry to {!run} of the corresponding
-    plain-injection elaboration.
+(** For an elaboration with [m] [gated_injections]: run every
+    environment in a lane group of [g = m + 1] lanes, the clean circuit
+    in lane 0 and mutant [k] armed in lane [k + 1].  A lane word holds
+    [lanes / g] environments (12 for the four-mutant zoo on 63 lanes);
+    the strip is 1 word when the batch fits one lane word, 8 otherwise —
+    the whole trojan zoo is scored against many stimuli in a single
+    simulation pass of one netlist.  [m_clean] is bit-identical to
+    {!run} of the un-gated elaboration and each [m_mutants] entry to
+    {!run} of the corresponding plain-injection elaboration.
 
     @raise Invalid_argument if the design has no gated injections or an
     environment misses a primary input. *)
@@ -211,15 +238,19 @@ type recorded = {
 
 val run_recorded :
   ?depth:int -> ?watch:watch list -> ?cls:string -> t -> Thr_dfg.Eval.env -> recorded
-(** [run_recorded t env] is {!run} with the flight recorder on: watched
-    nets ([watch], default {!watchlist} without rare candidates) are
-    sampled into a [depth]-cycle ring (default 256), journal events are
+(** [run_recorded t env] is {!run} with the flight recorder on — the
+    same runner on a 1-word strip, one environment in lane 0, with a
+    per-cycle hook: watched nets ([watch], default {!watchlist} without
+    rare candidates) are sampled into a [depth]-cycle ring (default
+    256) as whole lane words, journal events are
     emitted (one [Atomic.get] each when the journal is disabled), and a
     detection feeds the [thr_rt_detection_latency_cycles] /
     [thr_rt_recovery_latency_cycles] histograms, also per trojan class
-    when [cls] is non-empty (e.g. ["comb"], ["seq"]).
+    when [cls] is non-empty (e.g. ["comb"], ["seq"]).  [rec_result]
+    equals {!run} [t env]; [Recovery_ok] is {!golden_agrees}.
 
-    @raise Invalid_argument on an empty watch list or a missing input. *)
+    @raise Invalid_argument on an empty watch list, a [depth] the
+    recorder rejects or a missing input. *)
 
 val stats : t -> string
 (** One-line netlist size summary (nets/gates/DFFs). *)

@@ -24,27 +24,29 @@ let internal_nets nl =
          | _ -> true)
   |> Array.of_list
 
-(* Drive one lane-word chunk of explicit vectors into a 1-word strip and
-   clock it once: bit [k] of each input word is vector [k]'s value
-   (absent names stay 0, as after a scalar reset).  The strip must have
-   been reset since the last chunk. *)
-let apply_chunk st names chunk =
-  let words = Hashtbl.create 16 in
+(* Drive one lane-word chunk of explicit vectors into a 1-word strip:
+   lane [k] carries vector [k] (absent names stay 0, as after a scalar
+   reset). *)
+let drive_chunk st names chunk =
+  let tbl = Netlist.input_index (Packed.strip_netlist st) in
+  let on = Hashtbl.create 64 in
   List.iteri
     (fun k v ->
-      List.iter
-        (fun (nm, b) ->
-          if b then
-            Hashtbl.replace words nm
-              (Option.value ~default:0 (Hashtbl.find_opt words nm)
-              lor (1 lsl k)))
-        v)
+      List.iter (fun (nm, b) -> if b then Hashtbl.replace on (k, nm) ()) v)
     chunk;
   List.iter
     (fun nm ->
-      Packed.strip_set_input st nm 0
-        (Option.value ~default:0 (Hashtbl.find_opt words nm)))
-    names;
+      match Hashtbl.find_opt tbl nm with
+      | Some id ->
+          Packed.strip_drive st [| id |] (List.length chunk) (fun k ->
+              Bool.to_int (Hashtbl.mem on (k, nm)))
+      | None -> invalid_arg (Printf.sprintf "Logic_test: unknown input %S" nm))
+    names
+
+(* The same from power-on, clocked once. *)
+let apply_chunk st names chunk =
+  Packed.strip_reset st;
+  drive_chunk st names chunk;
   Packed.strip_settle st;
   Packed.strip_latch st;
   Packed.strip_settle st
@@ -86,27 +88,12 @@ let signal_probabilities ~prng ?(samples = 512) nl =
     let done_ = ref 0 in
     while !done_ < samples do
       let count = min Packed.lanes (samples - !done_) in
-      let words = Hashtbl.create 16 in
-      for k = 0 to count - 1 do
-        List.iter
-          (fun nm ->
-            if Prng.bool prng then
-              Hashtbl.replace words nm
-                (Option.value ~default:0 (Hashtbl.find_opt words nm)
-                lor (1 lsl k)))
-          names
-      done;
-      List.iter
-        (fun nm ->
-          Packed.strip_set_input st nm 0
-            (Option.value ~default:0 (Hashtbl.find_opt words nm)))
-        names;
+      drive_chunk st names (random_vectors ~prng nl count);
       Packed.strip_settle st;
-      let mask = Packed.lane_mask count in
       Array.iteri
         (fun i net ->
           ones.(i) <-
-            ones.(i) + Packed.popcount (Packed.strip_peek st net 0 land mask))
+            ones.(i) + Packed.strip_count st (Netlist.net_index net) count)
         nets;
       done_ := !done_ + count
     done
@@ -139,14 +126,11 @@ let n_detect_count nl rare vectors =
   List.iter
     (fun chunk ->
       let count = List.length chunk in
-      Packed.strip_reset st;
       apply_chunk st names chunk;
-      let mask = Packed.lane_mask count in
       List.iteri
         (fun i (net, rare_value) ->
-          let w = Packed.strip_peek st net 0 in
-          let hits = (if rare_value then w else lnot w) land mask in
-          counts.(i) <- counts.(i) + Packed.popcount hits)
+          let ones = Packed.strip_count st (Netlist.net_index net) count in
+          counts.(i) <- counts.(i) + if rare_value then ones else count - ones)
         rare)
     (chunked Packed.lanes vectors);
   counts
@@ -218,8 +202,6 @@ let detect ~golden ~suspect vectors =
   List.exists
     (fun chunk ->
       let mask = Packed.lane_mask (List.length chunk) in
-      Packed.strip_reset gst;
-      Packed.strip_reset sst;
       apply_chunk gst names chunk;
       apply_chunk sst names chunk;
       List.exists
