@@ -142,6 +142,195 @@ let test_taint_diversity () =
   Alcotest.(check int) "diversity violated at 3" 1
     (List.length (with_rule "comparator-diversity" fs))
 
+(* The list-and-walk taint pass, kept as the oracle for Taint: sorted
+   vendor lists iterated to a fixpoint, then one fan-in walk per output
+   bit to decide whether the comparator guards it. *)
+module Oracle = struct
+  let union a b =
+    let rec go a b =
+      match (a, b) with
+      | [], l | l, [] -> l
+      | x :: xs, y :: ys ->
+          if x < y then x :: go xs b
+          else if y < x then y :: go a ys
+          else x :: go xs ys
+    in
+    if a == b then a else go a b
+
+  let propagate ~vendor_of nl =
+    let taint = Array.make (Netlist.n_nets nl) [] in
+    let get x = taint.(Netlist.net_index x) in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      Array.iter
+        (fun net ->
+          let i = Netlist.net_index net in
+          let from_deps =
+            match Netlist.driver nl net with
+            | Netlist.D_input _ | Netlist.D_const _ -> []
+            | Netlist.D_not a -> get a
+            | Netlist.D_and (a, b)
+            | Netlist.D_or (a, b)
+            | Netlist.D_xor (a, b)
+            | Netlist.D_nand (a, b)
+            | Netlist.D_nor (a, b) ->
+                union (get a) (get b)
+            | Netlist.D_mux (s, a, b) -> union (get s) (union (get a) (get b))
+            | Netlist.D_dff k -> get (Netlist.dff_data nl k)
+          in
+          let own = match vendor_of net with Some v -> [ v ] | None -> [] in
+          let t = union own from_deps in
+          if t <> taint.(i) then begin
+            taint.(i) <- t;
+            changed := true
+          end)
+        (Netlist.nets_in_order nl)
+    done;
+    taint
+
+  let analyse ~vendor_of ~mismatch ?(min_vendors = 2) nl =
+    let taint = propagate ~vendor_of nl in
+    let get x = taint.(Netlist.net_index x) in
+    let compared = Netlist.in_cone nl ~roots:[ mismatch ] () in
+    let mi = Netlist.net_index mismatch in
+    let findings = ref [] in
+    let emit ~rule ?net detail =
+      findings :=
+        Finding.make ~pass:Finding.Taint ~severity:Finding.Error ~rule ?net
+          detail
+        :: !findings
+    in
+    (let cmp_taint = get mismatch in
+     if List.length cmp_taint < min_vendors then
+       emit ~rule:"comparator-diversity" ~net:mismatch
+         (Printf.sprintf
+            "%s combines data from %d vendor(s); Rule 1 requires at least %d"
+            (Finding.net_label nl mismatch)
+            (List.length cmp_taint) min_vendors));
+    List.iter
+      (fun (name, net) ->
+        let i = Netlist.net_index net in
+        if i <> mi then
+          match get net with
+          | [] -> ()
+          | vendors ->
+              let guarded =
+                Netlist.fold_cone nl ~roots:[ net ]
+                  (fun acc x -> acc || Netlist.net_index x = mi)
+                  false
+              in
+              if not (compared.(i) || guarded) then
+                emit ~rule:"unguarded-output" ~net
+                  (Printf.sprintf
+                     "output %s carries data from vendor(s) %s but is \
+                      neither observed nor guarded by the mismatch comparator"
+                     name
+                     (String.concat "," (List.map string_of_int vendors))))
+      (Netlist.outputs nl);
+    (List.sort Finding.compare !findings, taint)
+end
+
+let same_as_oracle ~vendor_of ~mismatch ?min_vendors nl =
+  let fs, labels = Taint.analyse ~vendor_of ~mismatch ?min_vendors nl in
+  let ofs, olabels = Oracle.analyse ~vendor_of ~mismatch ?min_vendors nl in
+  fs = ofs && labels = olabels
+  && Taint.propagate ~vendor_of nl = olabels
+
+(* A random finalised netlist with register feedback: [n_regs] DFFs whose
+   outputs are usable from the start and whose data inputs are picked
+   among every net built, muxes among the gates, a random [mismatch]
+   net, a handful of named outputs and a random vendor per net.  A wide
+   palette draws vendor ids from [0, 200), so more than 62 distinct
+   vendors (and so more than one label word) turn up on larger
+   netlists; a narrow one mixes a few ids including 70 and 130. *)
+let random_taint_case seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let nl = Netlist.create ~name:"taint_rand" in
+  let a = Netlist.input nl "a" and b = Netlist.input nl "b" in
+  let n_regs = int 6 and n_gates = 1 + int 160 in
+  let all = ref [||] in
+  let _qs =
+    Netlist.dff_loop_many nl ~inits:(Array.make n_regs false) (fun qs ->
+        let nets = ref (Array.append [| a; b |] qs) in
+        let pick () = !nets.(int (Array.length !nets)) in
+        for _ = 1 to n_gates do
+          let x = pick () and y = pick () in
+          let g =
+            match int 9 with
+            | 0 -> Netlist.and_ nl x y
+            | 1 -> Netlist.or_ nl x y
+            | 2 -> Netlist.xor_ nl x y
+            | 3 -> Netlist.nand_ nl x y
+            | 4 -> Netlist.nor_ nl x y
+            | 5 -> Netlist.not_ nl x
+            | 6 | 7 -> Netlist.mux nl ~sel:x ~t0:y ~t1:(pick ())
+            | _ -> Netlist.dff nl x
+          in
+          nets := Array.append !nets [| g |]
+        done;
+        all := !nets;
+        Array.map (fun _ -> pick ()) qs)
+  in
+  let pick () = !all.(int (Array.length !all)) in
+  for k = 0 to int 8 do
+    Netlist.output nl (Printf.sprintf "o%d" k) (pick ())
+  done;
+  let mismatch = pick () in
+  if int 3 = 0 then Netlist.output nl "mismatch" mismatch;
+  Netlist.finalise nl;
+  let wide = int 2 = 0 in
+  let narrow = [| 0; 1; 2; 70; 130 |] in
+  let vendors =
+    Array.init (Netlist.n_nets nl) (fun _ ->
+        if wide then (if int 4 = 0 then None else Some (int 200))
+        else if int 3 = 0 then Some narrow.(int (Array.length narrow))
+        else None)
+  in
+  let vendor_of n = vendors.(Netlist.net_index n) in
+  (nl, mismatch, vendor_of, 1 + int 3)
+
+let taint_matches_oracle =
+  QCheck.Test.make ~name:"bitset taint = list-and-walk oracle" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let nl, mismatch, vendor_of, min_vendors = random_taint_case seed in
+      same_as_oracle ~vendor_of ~mismatch ~min_vendors nl)
+
+(* A chain through [n] vendor regions: net k belongs to vendor k, the
+   comparator reads the chain's end and one output escapes it.  Around
+   62/63 and 125/126 distinct vendors the label (vendors plus the
+   comparator bit) spills into one more word. *)
+let test_taint_word_boundaries () =
+  List.iter
+    (fun n ->
+      let nl = Netlist.create ~name:"taint_chain" in
+      let x = Netlist.input nl "x" in
+      let chain = Array.make n x in
+      for k = 1 to n - 1 do
+        chain.(k) <- Netlist.xor_ nl chain.(k - 1) x
+      done;
+      let cmp = Netlist.not_ nl chain.(n - 1) in
+      let q = Netlist.dff nl (Netlist.and_ nl cmp chain.(n / 2)) in
+      Netlist.output nl "mismatch" cmp;
+      Netlist.output nl "guarded" q;
+      Netlist.output nl "escape" (Netlist.and_ nl chain.(n - 1) x);
+      Netlist.finalise nl;
+      let vendor_of net =
+        let i = Netlist.net_index net in
+        if i < n then Some (3 * i) else None
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d vendors match the oracle" n)
+        true
+        (same_as_oracle ~vendor_of ~mismatch:cmp nl);
+      Alcotest.(check int)
+        (Printf.sprintf "%d vendors reach the comparator" n)
+        n
+        (List.length (Taint.propagate ~vendor_of nl).(Netlist.net_index cmp)))
+    [ 1; 2; 61; 62; 63; 64; 125; 126; 127; 200 ]
+
 (* ------------------------------ rare ------------------------------ *)
 
 let test_prob_model () =
@@ -328,6 +517,68 @@ let test_elab_assertion_catches_bypass () =
   Alcotest.(check bool) "assertion condition trips" true
     (List.exists (fun f -> f.Finding.severity = Finding.Error) fs)
 
+(* Every paper benchmark, elaborated clean, with each canned Trojan, with
+   the comparator bypass and with the gated zoo that fault simulation
+   arms: the taint pass gives exactly the oracle's findings and labels,
+   and only the bypass has an unguarded output. *)
+let test_taint_oracle_on_benchmarks () =
+  List.iter
+    (fun (name, dfg) ->
+      let cp = Thr_dfg.Dfg.critical_path dfg in
+      let spec =
+        Spec.make ~dfg ~catalog:Thr_iplib.Catalog.eight_vendors
+          ~latency_detect:(cp + 1) ~latency_recover:cp ~area_limit:400_000 ()
+      in
+      let design =
+        match Thr_opt.License_search.search spec with
+        | Thr_opt.License_search.Solved { design; _ }, _ -> design
+        | _ -> Alcotest.fail ("no design for " ^ name)
+      in
+      let op = List.hd (Thr_dfg.Dfg.outputs dfg) in
+      let nc = Copy.index spec { Copy.op; phase = Copy.NC } in
+      let gated_injections =
+        List.map
+          (fun (nm, trojan) ->
+            ( "mut_" ^ nm,
+              {
+                Engine.inj_vendor = Binding.vendor design.Design.binding nc;
+                inj_type = Spec.iptype_of_op spec op;
+                trojan;
+              } ))
+          (Trojan.zoo ~a_pattern:0x1234 ~b_pattern:0x00FF ~mask:0xFFFF)
+      in
+      let w = 16 in
+      List.iter
+        (fun (variant, rtl) ->
+          let label = name ^ "/" ^ variant in
+          let vendor_of = Rtl.vendor_of rtl and mismatch = rtl.Rtl.mismatch in
+          let nl = rtl.Rtl.netlist in
+          Alcotest.(check bool) (label ^ " matches the oracle") true
+            (same_as_oracle ~vendor_of ~mismatch ~min_vendors:2 nl);
+          let fs, _ = Taint.analyse ~vendor_of ~mismatch nl in
+          Alcotest.(check bool)
+            (label ^ " unguarded iff bypassed")
+            (variant = "bypass")
+            (with_rule "unguarded-output" fs <> []))
+        [
+          ("clean", Rtl.elaborate ~width:w design);
+          ( "trojan",
+            Rtl.elaborate ~width:w
+              ~injections:[ Rtl.canned_injection ~width:w design ]
+              design );
+          ( "trojan-seq",
+            Rtl.elaborate ~width:w
+              ~injections:[ Rtl.canned_sequential_injection ~width:w design ]
+              design );
+          ( "dud",
+            Rtl.elaborate ~width:w
+              ~injections:[ Rtl.canned_dud_injection ~width:w design ]
+              design );
+          ("bypass", Rtl.elaborate ~width:w ~seeded_bug:Rtl.Comparator_skip design);
+          ("zoo", Rtl.elaborate ~width:w ~gated_injections design);
+        ])
+    (Thr_benchmarks.Suite.all ())
+
 (* ------------------------------ prove ----------------------------- *)
 
 let prove_stats report =
@@ -470,6 +721,9 @@ let () =
           Alcotest.test_case "propagation" `Quick test_taint_propagation;
           Alcotest.test_case "unguarded output" `Quick test_taint_unguarded_output;
           Alcotest.test_case "diversity" `Quick test_taint_diversity;
+          Alcotest.test_case "label word boundaries" `Quick
+            test_taint_word_boundaries;
+          QCheck_alcotest.to_alcotest taint_matches_oracle;
         ] );
       ( "rare",
         [
@@ -489,6 +743,8 @@ let () =
             test_taint_flags_comparator_bypass;
           Alcotest.test_case "elab assertion trips" `Quick
             test_elab_assertion_catches_bypass;
+          Alcotest.test_case "taint = oracle on benchmarks x mutants" `Quick
+            test_taint_oracle_on_benchmarks;
         ] );
       ( "prove",
         [
