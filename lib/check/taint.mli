@@ -1,9 +1,12 @@
 (** Vendor taint / information-flow verification.
 
     Every net built inside a vendor's IP-core region carries that
-    vendor's label; labels propagate forward through gates and through
-    register data inputs to a fixpoint.  The pass then statically checks
-    the paper's detection contract on the netlist itself:
+    vendor's label, one bit of a per-net bitset (one word for up to 62
+    vendors); one sweep in evaluation order, repeated while a register's
+    label grows, propagates labels forward through gates and register
+    data inputs.  The [mismatch] net owns one more bit, so the sweep also
+    finds every net the comparator guards.  The pass then statically
+    checks the paper's detection contract on the netlist itself:
 
     - every primary output carrying vendor data must be {e dominated} by
       the mismatch comparator — either the comparator observes it (the

@@ -177,12 +177,16 @@ let output t nm n =
     invalid_arg (Printf.sprintf "Netlist.output: duplicate output %S" nm);
   t.outputs <- (nm, n) :: t.outputs
 
-let comb_deps = function
-  | D_input _ | D_const _ | D_dff _ -> []
-  | D_not a -> [ a ]
+let iter_operands f = function
+  | D_input _ | D_const _ | D_dff _ -> ()
+  | D_not a -> f a
   | D_and (a, b) | D_or (a, b) | D_xor (a, b) | D_nand (a, b) | D_nor (a, b) ->
-      [ a; b ]
-  | D_mux (s, a, b) -> [ s; a; b ]
+      f a;
+      f b
+  | D_mux (s, a, b) ->
+      f s;
+      f a;
+      f b
 
 let finalise t =
   if not (frozen t) then begin
@@ -192,11 +196,11 @@ let finalise t =
     let indeg = Array.make n 0 in
     let succs = Array.make n [] in
     for i = 0 to n - 1 do
-      List.iter
+      iter_operands
         (fun d ->
           indeg.(i) <- indeg.(i) + 1;
           succs.(d) <- i :: succs.(d))
-        (comb_deps t.drivers.(i))
+        t.drivers.(i)
     done;
     let order = Array.make n 0 in
     let filled = ref 0 in
@@ -278,53 +282,40 @@ let find_output t nm =
 
 let outputs t = List.rev t.outputs
 
-(* Reverse edges: for every net, the nets whose driver reads it.  A DFF
-   output counts as a reader of its data net, so the index covers the
-   sequential edges too.  Reader lists preserve creation order. *)
-let readers t =
-  let acc = Array.make t.count [] in
-  for i = t.count - 1 downto 0 do
-    let record d = acc.(d) <- i :: acc.(d) in
-    (match t.drivers.(i) with
-    | D_dff k -> if t.dff_d.(k) >= 0 then record t.dff_d.(k)
-    | d -> List.iter record (comb_deps d))
-  done;
-  acc
-
 let fanout t =
   let acc = Array.make t.count 0 in
+  let record d = acc.(d) <- acc.(d) + 1 in
   for i = 0 to t.count - 1 do
-    let record d = acc.(d) <- acc.(d) + 1 in
     match t.drivers.(i) with
     | D_dff k -> if t.dff_d.(k) >= 0 then record t.dff_d.(k)
-    | d -> List.iter record (comb_deps d)
+    | d -> iter_operands record d
   done;
   acc
 
 let fold_cone t ?(through_dffs = true) ~roots f init =
+  (* each net is pushed at most once, so [count] slots are stack enough *)
   let seen = Array.make t.count false in
-  let acc = ref init in
-  let stack = Stack.create () in
+  let stack = Array.make t.count 0 and sp = ref 0 in
+  let visit d =
+    if not seen.(d) then begin
+      seen.(d) <- true;
+      stack.(!sp) <- d;
+      incr sp
+    end
+  in
   List.iter
     (fun n ->
       check_net t n;
-      if not seen.(n) then begin
-        seen.(n) <- true;
-        Stack.push n stack
-      end)
+      visit n)
     roots;
-  while not (Stack.is_empty stack) do
-    let n = Stack.pop stack in
+  let acc = ref init in
+  while !sp > 0 do
+    decr sp;
+    let n = stack.(!sp) in
     acc := f !acc n;
-    let visit d =
-      if not seen.(d) then begin
-        seen.(d) <- true;
-        Stack.push d stack
-      end
-    in
     match t.drivers.(n) with
     | D_dff k -> if through_dffs && t.dff_d.(k) >= 0 then visit t.dff_d.(k)
-    | d -> List.iter visit (comb_deps d)
+    | d -> iter_operands visit d
   done;
   !acc
 

@@ -136,19 +136,20 @@ val outputs : t -> (string * net) list
 
 (** {1 Graph traversal (static analysis)} *)
 
-val readers : t -> net list array
-(** Reverse-edge index: entry [n] lists every net whose driver reads [n] —
-    combinational readers plus the output net of any DFF whose data input
-    is [n].  Lists are in net-creation order. *)
-
 val fanout : t -> int array
-(** Per-net reader counts (the lengths of {!readers}'s lists, without
-    building them). *)
+(** Per-net reader counts: the drivers that read each net, the output of
+    a DFF counting as a reader of its data input. *)
+
+val iter_operands : (net -> unit) -> driver -> unit
+(** [f] on each combinational operand in order (a mux's select, [t0],
+    [t1]); inputs, constants and DFFs have none. *)
 
 val fold_cone :
   t -> ?through_dffs:bool -> roots:net list -> ('a -> net -> 'a) -> 'a -> 'a
 (** [fold_cone t ~roots f init] folds [f] over the transitive fan-in cone
-    of [roots] (roots included), visiting every net exactly once.
+    of [roots] (roots included), visiting every net exactly once, depth
+    first: roots, then each visited net's {!iter_operands}, are pushed in
+    order and popped last-first.
     [through_dffs] (default [true]) continues the traversal from a DFF's
     output into its data input; with [false] the cone is purely
     combinational and stops at register boundaries.

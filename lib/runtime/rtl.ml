@@ -135,13 +135,13 @@ let payload_wrap nl trojan ~trigger out =
       let corrupting = Netlist.or_ nl latch trigger in
       Bus.xor_enable nl out ~enable:corrupting ~mask
 
-let vendor_of t net =
-  let i = Netlist.net_index net in
-  let rec go = function
-    | [] -> None
-    | (lo, hi, v) :: rest -> if i >= lo && i <= hi then Some v else go rest
-  in
-  go t.vendor_regions
+let vendor_of t =
+  let owner = Array.make (Netlist.n_nets t.netlist) None in
+  (* regions are disjoint: each core's nets are built in one run *)
+  List.iter
+    (fun (lo, hi, v) -> Array.fill owner lo (hi - lo + 1) (Some v))
+    t.vendor_regions;
+  fun net -> owner.(Netlist.net_index net)
 
 (* Core instances and the copies they execute (latest copy first), keyed
    on (vendor id, IP type index, instance). *)
@@ -161,12 +161,6 @@ let cores_of design =
     Hashtbl.replace cores key (idx :: existing)
   done;
   cores
-
-(* THLS_ELAB_CHECK=0 disables the post-elaboration taint assertion *)
-let elab_check_enabled () =
-  match Sys.getenv_opt "THLS_ELAB_CHECK" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | _ -> true
 
 let min_width = 6
 
@@ -396,26 +390,17 @@ let elaborate ?(width = 16) ?(injections = []) ?(gated_injections = [])
       mutant_gates = List.map fst gated_injections;
     }
   in
-  (match seeded_bug with
-  | Some _ -> ()
-  | None ->
-      if elab_check_enabled () then
-        Thr_obs.Trace.with_span "rtl.elab_check" (fun () ->
-            let findings, _ =
-              Taint.analyse ~vendor_of:(vendor_of t) ~mismatch ~min_vendors:2
-                nl
-            in
-            match
-              List.filter
-                (fun f -> f.Finding.severity = Finding.Error)
-                findings
-            with
-            | [] -> ()
-            | f :: _ ->
-                failwith
-                  (Printf.sprintf
-                     "Rtl.elaborate: internal taint check failed: %s"
-                     f.Finding.detail)));
+  (* every taint finding is an Error *)
+  if seeded_bug = None then
+    Thr_obs.Trace.with_span "rtl.elab_check" (fun () ->
+        match
+          Taint.analyse ~vendor_of:(vendor_of t) ~mismatch ~min_vendors:2 nl
+        with
+        | [], _ -> ()
+        | f :: _, _ ->
+            failwith
+              (Printf.sprintf "Rtl.elaborate: internal taint check failed: %s"
+                 f.Finding.detail));
   t
 
 let taint_spec t =

@@ -70,10 +70,9 @@ val elaborate :
     lets {!run_mutant_batch} score the golden design and one armed
     mutant per simulation lane in a single pass.
 
-    Unless [seeded_bug] is given (or [THLS_ELAB_CHECK=0] is set in the
-    environment), the elaborated netlist is re-verified with the
-    {!Thr_check.Taint} pass: every primary output must be dominated by
-    the mismatch comparator.
+    Unless [seeded_bug] is given, the elaborated netlist is re-verified
+    with the {!Thr_check.Taint} pass: every primary output must be
+    dominated by the mismatch comparator.
 
     @raise Invalid_argument if [width] is out of range, the design is
     invalid, an injection's
@@ -83,7 +82,8 @@ val elaborate :
     unguarded output (an elaborator bug, not a user error). *)
 
 val vendor_of : t -> Thr_gates.Netlist.net -> int option
-(** Which vendor's core region built the net, from [vendor_regions]. *)
+(** Which vendor's core region built the net, from [vendor_regions].
+    [vendor_of t] indexes the regions once, then looks nets up. *)
 
 val taint_spec : t -> Thr_check.Check.taint_spec
 (** Taint-pass input for this elaboration: provenance, the mismatch net
