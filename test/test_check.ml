@@ -405,6 +405,269 @@ let test_empirical_matches_scalar () =
   let scalar = Array.map (fun c -> float_of_int c /. samples) counts in
   Alcotest.(check (array (float 0.0))) "strips = scalar Sim" scalar p1
 
+(* The per-net, option-tagged signal-probability sweep as it stood
+   before the tape kernel: every full-netlist sweep matches on
+   [Netlist.driver], and every conditional target re-runs the whole
+   sweep on copies of [p] and [tags].  Kept verbatim as the oracle the
+   kernel must equal bit for bit. *)
+module Prob_oracle = struct
+  type tag = { lit : int; pos : bool; residual : float }
+
+  let signal_probabilities ?(iters = Prob.default_iters) nl =
+    let n = Netlist.n_nets nl in
+    let p = Array.make n 0.5 in
+    let tags : tag option array = Array.make n None in
+    let order = Netlist.nets_in_order nl in
+    let clamp v = Float.max 0.0 (Float.min 1.0 v) in
+    let sweep ?pin p (tags : tag option array) =
+      let get x = p.(Netlist.net_index x) in
+      let plit l pos = if pos then p.(l) else 1.0 -. p.(l) in
+      let desc x =
+        let i = Netlist.net_index x in
+        let t =
+          match tags.(i) with
+          | Some t -> t
+          | None -> (
+              match Netlist.driver nl x with
+              | Netlist.D_not a ->
+                  { lit = Netlist.net_index a; pos = false; residual = 1.0 }
+              | _ -> { lit = i; pos = true; residual = 1.0 })
+        in
+        (p.(i), t)
+      in
+      let and_desc (pa, a) (pb, b) =
+        if a.lit = b.lit && a.pos = b.pos then
+          let r = a.residual *. b.residual in
+          (plit a.lit a.pos *. r, Some { a with residual = r })
+        else if a.lit = b.lit then (0.0, None)
+        else
+          let tag =
+            if plit a.lit a.pos <= plit b.lit b.pos then
+              { a with residual = a.residual *. pb }
+            else { b with residual = b.residual *. pa }
+          in
+          (pa *. pb, Some tag)
+      in
+      let or_desc (pa, a) (pb, b) =
+        if a.lit = b.lit && a.pos = b.pos then
+          let r = a.residual +. b.residual -. (a.residual *. b.residual) in
+          (plit a.lit a.pos *. r, Some { a with residual = r })
+        else if a.lit = b.lit then
+          ( (plit a.lit a.pos *. a.residual) +. (plit b.lit b.pos *. b.residual),
+            None )
+        else (1.0 -. ((1.0 -. pa) *. (1.0 -. pb)), None)
+      in
+      let xor_desc (pa, a) (pb, b) =
+        if a.lit = b.lit && a.pos = b.pos then
+          let r =
+            a.residual +. b.residual -. (2.0 *. a.residual *. b.residual)
+          in
+          (plit a.lit a.pos *. r, Some { a with residual = r })
+        else if a.lit = b.lit then
+          ( (plit a.lit a.pos *. a.residual) +. (plit b.lit b.pos *. b.residual),
+            None )
+        else ((pa *. (1.0 -. pb)) +. (pb *. (1.0 -. pa)), None)
+      in
+      let lit_desc x pos =
+        let px = get x in
+        ( (if pos then px else 1.0 -. px),
+          { lit = Netlist.net_index x; pos; residual = 1.0 } )
+      in
+      let mux_desc s t0 t1 =
+        match (Netlist.driver nl t0, Netlist.driver nl t1) with
+        | Netlist.D_const false, _ -> and_desc (lit_desc s true) (desc t1)
+        | _, Netlist.D_const false -> and_desc (lit_desc s false) (desc t0)
+        | Netlist.D_const true, _ -> or_desc (lit_desc s false) (desc t1)
+        | _, Netlist.D_const true -> or_desc (lit_desc s true) (desc t0)
+        | _ ->
+            let ps = get s in
+            let (p0, a) = desc t0 and (p1, b) = desc t1 in
+            if a.lit = b.lit && a.pos = b.pos then
+              if a.lit = Netlist.net_index s then
+                if a.pos then
+                  (ps *. b.residual, Some { b with residual = b.residual })
+                else ((1.0 -. ps) *. a.residual, Some a)
+              else
+                let r = ((1.0 -. ps) *. a.residual) +. (ps *. b.residual) in
+                (plit a.lit a.pos *. r, Some { a with residual = r })
+            else (((1.0 -. ps) *. p0) +. (ps *. p1), None)
+      in
+      let pinned i = match pin with Some j -> i = j | None -> false in
+      Array.iter
+        (fun net ->
+          let i = Netlist.net_index net in
+          if not (pinned i) then begin
+            let v, tag =
+              match Netlist.driver nl net with
+              | Netlist.D_input _ -> (0.5, None)
+              | Netlist.D_const b -> ((if b then 1.0 else 0.0), None)
+              | Netlist.D_dff _ -> (p.(i), None)
+              | Netlist.D_not a -> (1.0 -. get a, None)
+              | Netlist.D_and (a, b) -> and_desc (desc a) (desc b)
+              | Netlist.D_or (a, b) -> or_desc (desc a) (desc b)
+              | Netlist.D_nand (a, b) ->
+                  let pv, _ = and_desc (desc a) (desc b) in
+                  (1.0 -. pv, None)
+              | Netlist.D_nor (a, b) ->
+                  let pv, _ = or_desc (desc a) (desc b) in
+                  (1.0 -. pv, None)
+              | Netlist.D_xor (a, b) -> xor_desc (desc a) (desc b)
+              | Netlist.D_mux (s, a, b) -> mux_desc s a b
+            in
+            p.(i) <- clamp v;
+            tags.(i) <- tag
+          end)
+        order
+    in
+    Array.iter
+      (fun net ->
+        match Netlist.driver nl net with
+        | Netlist.D_dff k ->
+            p.(Netlist.net_index net) <-
+              (if Netlist.dff_init nl k then 1.0 else 0.0)
+        | _ -> ())
+      order;
+    let cond_targets = Hashtbl.create 7 in
+    let cond_prob en pos x =
+      let key = (Netlist.net_index en, pos) in
+      let pc =
+        match Hashtbl.find_opt cond_targets key with
+        | Some pc -> pc
+        | None ->
+            let pc = Array.copy p in
+            let tc = Array.copy tags in
+            let i = Netlist.net_index en in
+            pc.(i) <- (if pos then 1.0 else 0.0);
+            tc.(i) <- None;
+            sweep ~pin:i pc tc;
+            Hashtbl.add cond_targets key pc;
+            pc
+      in
+      pc.(Netlist.net_index x)
+    in
+    for _round = 1 to iters do
+      sweep p tags;
+      Hashtbl.reset cond_targets;
+      Array.iter
+        (fun net ->
+          match Netlist.driver nl net with
+          | Netlist.D_dff k ->
+              let i = Netlist.net_index net in
+              let data = Netlist.dff_data nl k in
+              let target =
+                match Netlist.driver nl data with
+                | Netlist.D_mux (s, t0, t1) when Netlist.net_index t0 = i ->
+                    cond_prob s true t1
+                | Netlist.D_mux (s, t0, t1) when Netlist.net_index t1 = i ->
+                    cond_prob s false t0
+                | _ -> p.(Netlist.net_index data)
+              in
+              p.(i) <- 0.5 *. (p.(i) +. target)
+          | _ -> ())
+        order
+    done;
+    sweep p tags;
+    p
+end
+
+(* [None] when [Prob.signal_probabilities] equals the oracle on every
+   net bit for bit, else the first differing net and both values. *)
+let prob_oracle_mismatch ?iters nl =
+  let got = Prob.signal_probabilities ?iters nl in
+  let want = Prob_oracle.signal_probabilities ?iters nl in
+  let bad = ref None in
+  Array.iteri
+    (fun i w ->
+      if !bad = None && Int64.bits_of_float got.(i) <> Int64.bits_of_float w
+      then bad := Some (i, got.(i), w))
+    want;
+  !bad
+
+let show_prob_mismatch = function
+  | None -> "bit-identical"
+  | Some (i, g, w) -> Printf.sprintf "net %d: %h, oracle %h" i g w
+
+(* A random finalised netlist shaped like an elaborated datapath's
+   register file: hold-mux registers of both polarities
+   ([mux en q new] and [mux en new q]) drawing their enables from a
+   small shared pool (inputs, constants, NOT nets, DFF outputs and
+   arbitrary gates, so several registers share one conditional key and
+   an enable may be a register itself), plain registers, registers of
+   registers, loose DFFs among the gates, and mux arms that are
+   constants (the [and]/[or] special cases). *)
+let random_prob_case seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let nl = Netlist.create ~name:"prob_rand" in
+  let ins =
+    Array.init (1 + int 4) (fun k -> Netlist.input nl (Printf.sprintf "i%d" k))
+  in
+  let consts = [| Netlist.const nl false; Netlist.const nl true |] in
+  let n_regs = 1 + int 10 and n_gates = int 90 in
+  let all = ref [||] in
+  let _qs =
+    Netlist.dff_loop_many nl
+      ~inits:(Array.init n_regs (fun _ -> int 2 = 0))
+      (fun qs ->
+        let nets = ref (Array.concat [ ins; consts; qs ]) in
+        let pick () = !nets.(int (Array.length !nets)) in
+        let arm () = if int 4 = 0 then consts.(int 2) else pick () in
+        let add g =
+          nets := Array.append !nets [| g |];
+          g
+        in
+        for _ = 1 to n_gates do
+          let x = pick () and y = pick () in
+          ignore
+            (add
+               (match int 10 with
+               | 0 -> Netlist.and_ nl x y
+               | 1 -> Netlist.or_ nl x y
+               | 2 -> Netlist.xor_ nl x y
+               | 3 -> Netlist.nand_ nl x y
+               | 4 -> Netlist.nor_ nl x y
+               | 5 -> Netlist.not_ nl x
+               | 6 | 7 -> Netlist.mux nl ~sel:x ~t0:(arm ()) ~t1:(arm ())
+               | 8 -> Netlist.dff nl ~init:(int 2 = 0) x
+               | _ -> Netlist.and_ nl x (Netlist.not_ nl y)))
+        done;
+        let enables =
+          Array.init
+            (1 + int 3)
+            (fun _ ->
+              match int 5 with
+              | 0 -> ins.(int (Array.length ins))
+              | 1 -> consts.(int 2)
+              | 2 -> add (Netlist.not_ nl (pick ()))
+              | 3 -> qs.(int n_regs)
+              | _ -> pick ())
+        in
+        all := !nets;
+        Array.map
+          (fun q ->
+            let en = enables.(int (Array.length enables)) in
+            match int 5 with
+            | 0 -> pick ()
+            | 1 -> qs.(int n_regs)
+            | 2 | 3 -> Netlist.mux nl ~sel:en ~t0:q ~t1:(arm ())
+            | _ -> Netlist.mux nl ~sel:en ~t0:(arm ()) ~t1:q)
+          qs)
+  in
+  for k = 0 to int 4 do
+    Netlist.output nl (Printf.sprintf "o%d" k) !all.(int (Array.length !all))
+  done;
+  Netlist.finalise nl;
+  nl
+
+let prob_matches_oracle =
+  QCheck.Test.make ~name:"tape kernel = per-net sweep oracle (bits)" ~count:2000
+    QCheck.(pair (int_bound 1_000_000) (int_range 0 30))
+    (fun (seed, iters) ->
+      let nl = random_prob_case seed in
+      match prob_oracle_mismatch ~iters nl with
+      | None -> true
+      | m -> QCheck.Test.fail_report (show_prob_mismatch m))
+
 let seeded_harnesses () =
   [
     ( "fig2a",
@@ -517,23 +780,49 @@ let test_elab_assertion_catches_bypass () =
   Alcotest.(check bool) "assertion condition trips" true
     (List.exists (fun f -> f.Finding.severity = Finding.Error) fs)
 
-(* Every paper benchmark, elaborated clean, with each canned Trojan, with
-   the comparator bypass and with the gated zoo that fault simulation
-   arms: the taint pass gives exactly the oracle's findings and labels,
-   and only the bypass has an unguarded output. *)
-let test_taint_oracle_on_benchmarks () =
-  List.iter
+(* Every paper benchmark, solved on the eight-vendor catalog with one
+   step of detection slack and generous area. *)
+let benchmark_designs () =
+  List.map
     (fun (name, dfg) ->
       let cp = Thr_dfg.Dfg.critical_path dfg in
       let spec =
         Spec.make ~dfg ~catalog:Thr_iplib.Catalog.eight_vendors
           ~latency_detect:(cp + 1) ~latency_recover:cp ~area_limit:400_000 ()
       in
-      let design =
-        match Thr_opt.License_search.search spec with
-        | Thr_opt.License_search.Solved { design; _ }, _ -> design
-        | _ -> Alcotest.fail ("no design for " ^ name)
-      in
+      match Thr_opt.License_search.search spec with
+      | Thr_opt.License_search.Solved { design; _ }, _ -> (name, dfg, design)
+      | _ -> Alcotest.fail ("no design for " ^ name))
+    (Thr_benchmarks.Suite.all ())
+
+(* A design elaborated clean, with each canned Trojan and with the
+   comparator bypass — the variants [thls lint --mutant] builds. *)
+let canned_variants ~w design =
+  [
+    ("clean", Rtl.elaborate ~width:w design);
+    ( "trojan",
+      Rtl.elaborate ~width:w
+        ~injections:[ Rtl.canned_injection ~width:w design ]
+        design );
+    ( "trojan-seq",
+      Rtl.elaborate ~width:w
+        ~injections:[ Rtl.canned_sequential_injection ~width:w design ]
+        design );
+    ( "dud",
+      Rtl.elaborate ~width:w
+        ~injections:[ Rtl.canned_dud_injection ~width:w design ]
+        design );
+    ("bypass", Rtl.elaborate ~width:w ~seeded_bug:Rtl.Comparator_skip design);
+  ]
+
+(* Every paper benchmark, elaborated clean, with each canned Trojan, with
+   the comparator bypass and with the gated zoo that fault simulation
+   arms: the taint pass gives exactly the oracle's findings and labels,
+   and only the bypass has an unguarded output. *)
+let test_taint_oracle_on_benchmarks () =
+  List.iter
+    (fun (name, dfg, design) ->
+      let spec = design.Design.spec in
       let op = List.hd (Thr_dfg.Dfg.outputs dfg) in
       let nc = Copy.index spec { Copy.op; phase = Copy.NC } in
       let gated_injections =
@@ -560,24 +849,24 @@ let test_taint_oracle_on_benchmarks () =
             (label ^ " unguarded iff bypassed")
             (variant = "bypass")
             (with_rule "unguarded-output" fs <> []))
-        [
-          ("clean", Rtl.elaborate ~width:w design);
-          ( "trojan",
-            Rtl.elaborate ~width:w
-              ~injections:[ Rtl.canned_injection ~width:w design ]
-              design );
-          ( "trojan-seq",
-            Rtl.elaborate ~width:w
-              ~injections:[ Rtl.canned_sequential_injection ~width:w design ]
-              design );
-          ( "dud",
-            Rtl.elaborate ~width:w
-              ~injections:[ Rtl.canned_dud_injection ~width:w design ]
-              design );
-          ("bypass", Rtl.elaborate ~width:w ~seeded_bug:Rtl.Comparator_skip design);
-          ("zoo", Rtl.elaborate ~width:w ~gated_injections design);
-        ])
-    (Thr_benchmarks.Suite.all ())
+        (canned_variants ~w design
+        @ [ ("zoo", Rtl.elaborate ~width:w ~gated_injections design) ]))
+    (benchmark_designs ())
+
+(* Rare-net scoring on every paper benchmark and lint mutant — the
+   netlists whose hold-mux registers share step enables — equals the
+   per-net sweep oracle on every net, bit for bit. *)
+let test_prob_oracle_on_benchmarks () =
+  List.iter
+    (fun (name, _, design) ->
+      List.iter
+        (fun (variant, rtl) ->
+          Alcotest.(check string)
+            (name ^ "/" ^ variant ^ " probabilities")
+            "bit-identical"
+            (show_prob_mismatch (prob_oracle_mismatch rtl.Rtl.netlist)))
+        (canned_variants ~w:16 design))
+    (benchmark_designs ())
 
 (* ------------------------------ prove ----------------------------- *)
 
@@ -732,6 +1021,9 @@ let () =
           Alcotest.test_case "flags seeded trojans" `Quick test_rare_flags_seeded_trojans;
           Alcotest.test_case "empirical = scalar Sim (any jobs)" `Quick
             test_empirical_matches_scalar;
+          QCheck_alcotest.to_alcotest prob_matches_oracle;
+          Alcotest.test_case "oracle on benchmarks x mutants" `Quick
+            test_prob_oracle_on_benchmarks;
         ] );
       ( "elaborations",
         [
