@@ -21,6 +21,21 @@
     the combinational sweep with [en] pinned to its loading value — not
     the select-crushed unconditional probability of [new].
 
+    {b Evaluation.}  Each round is one sweep over the levelized
+    {!Thr_gates.Packed} tape, then an in-place (Gauss-Seidel) register
+    update in tape order.  Registers that share an enable and polarity
+    share one conditional {e key}, and a key's pinned sweep runs only
+    over the combinational fan-in cone of its registers' [new] arms:
+    the cone's register, input and constant leaves are copied from the
+    current values, [en] is pinned, and the cone's gates are swept.
+    A key is evaluated lazily, when the update loop first reaches one
+    of its registers, so it sees every register moved earlier in that
+    round.  Laziness and order are part of the model: a key evaluated
+    before the update, or a cone taken forward from [en] over the
+    round's unconditional sweep, misses those moves and changes the
+    probabilities.  The kernel keeps tags in parallel unboxed arrays
+    and allocates nothing per net.
+
     A net's {e activation probability} is [min p (1 - p)] — how often
     the net leaves its resting value.  Nets whose activation is positive
     but below a threshold are almost-never-toggling logic: exactly the
