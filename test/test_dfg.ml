@@ -228,6 +228,151 @@ let test_eval_fir16_dot_product () =
     [ (30, expected) ]
     (Eval.outputs d env)
 
+(* The assoc-walk evaluator [Eval.run] used to be, kept verbatim as the
+   oracle for the compiled one: one [List.assoc_opt] per operand read. *)
+module Assoc_eval = struct
+  let lookup env name =
+    match List.assoc_opt name env with
+    | Some v -> v
+    | None -> invalid_arg (Printf.sprintf "Eval: missing input %S" name)
+
+  let operand_value _d env values = function
+    | Dfg.Const v -> v
+    | Dfg.Input s -> lookup env s
+    | Dfg.Node i -> values.(i)
+
+  let run d env =
+    let n = Dfg.n_ops d in
+    let values = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let nd = Dfg.node d i in
+      let a = operand_value d env values nd.Dfg.operands.(0) in
+      let b = operand_value d env values nd.Dfg.operands.(1) in
+      values.(i) <- Op.eval nd.Dfg.kind a b
+    done;
+    values
+end
+
+(* A [Generator] DFG rebuilt so that every op kind and constant operands
+   occur, with some inputs declared ahead of use in a shuffled order and
+   some declared but never read. *)
+let varied_dfg prng =
+  let n_ops = 1 + Thr_util.Prng.int prng 24 in
+  let config =
+    {
+      Thr_benchmarks.Generator.n_ops;
+      n_layers = 1 + Thr_util.Prng.int prng (min n_ops 5);
+      mul_ratio = 0.3;
+      other_ratio = 0.3;
+    }
+  in
+  let g = Thr_benchmarks.Generator.generate ~config ~prng () in
+  let b = B.create ~name:"varied" in
+  let early = Array.of_list (Dfg.inputs g) in
+  Thr_util.Prng.shuffle prng early;
+  Array.iteri
+    (fun k nm ->
+      if Thr_util.Prng.bool prng then ignore (B.input b nm);
+      if k mod 3 = 0 then ignore (B.input b (Printf.sprintf "unread%d" k)))
+    early;
+  let ids = Array.make (Dfg.n_ops g) (B.const 0) in
+  let kinds = Array.of_list Op.all in
+  Array.iter
+    (fun nd ->
+      let kind =
+        if Thr_util.Prng.int prng 3 = 0 then Thr_util.Prng.pick prng kinds
+        else nd.Dfg.kind
+      in
+      let operand = function
+        | Dfg.Input _ when Thr_util.Prng.int prng 4 = 0 ->
+            B.const (Thr_util.Prng.int_in prng (-70) 70)
+        | Dfg.Input s -> B.input b s
+        | Dfg.Const c -> B.const c
+        | Dfg.Node i -> ids.(i)
+      in
+      let x = operand nd.Dfg.operands.(0) in
+      let y = operand nd.Dfg.operands.(1) in
+      ids.(nd.Dfg.id) <- B.add_op b kind [ x; y ])
+    (Dfg.nodes g);
+  B.build b
+
+(* An environment for [d]: bindings in [Dfg.inputs] order (the order
+   campaigns draw them in), or that order broken by an early duplicate,
+   or fully shuffled; sometimes with later duplicates and unknown names,
+   sometimes missing an input. *)
+let varied_env prng d =
+  let value () =
+    if Thr_util.Prng.int prng 8 = 0 then Thr_util.Prng.int_in prng (-1 lsl 40) (1 lsl 40)
+    else Thr_util.Prng.int_in prng (-300) 300
+  in
+  let base = List.map (fun nm -> (nm, value ())) (Dfg.inputs d) in
+  let base =
+    if Thr_util.Prng.int prng 3 = 0 && base <> [] then
+      let drop = Thr_util.Prng.int prng (List.length base) in
+      List.filteri (fun k _ -> k <> drop) base
+    else base
+  in
+  let extras =
+    List.init (Thr_util.Prng.int prng 3) (fun k -> (Printf.sprintf "extra%d" k, value ()))
+  in
+  let dups =
+    List.filter_map
+      (fun (nm, _) -> if Thr_util.Prng.int prng 4 = 0 then Some (nm, value ()) else None)
+      base
+  in
+  match Thr_util.Prng.int prng 4 with
+  | 0 -> base
+  | 1 -> base @ dups @ extras
+  | 2 -> (
+      (* a duplicate right behind the first binding *)
+      match base with
+      | (nm, v) :: rest -> (nm, v) :: (nm, value ()) :: rest @ extras
+      | [] -> extras)
+  | _ ->
+      let all = Array.of_list (base @ dups @ extras) in
+      Thr_util.Prng.shuffle prng all;
+      Array.to_list all
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let eval_matches_assoc_oracle =
+  QCheck.Test.make ~name:"Eval.run/outputs = assoc-walk oracle" ~count:500
+    QCheck.small_int (fun seed ->
+      let prng = Thr_util.Prng.create ~seed in
+      let d = varied_dfg prng in
+      List.for_all
+        (fun _ ->
+          let env = varied_env prng d in
+          let want = outcome (fun () -> Assoc_eval.run d env) in
+          let want_outputs =
+            Result.map (fun v -> List.map (fun i -> (i, v.(i))) (Dfg.outputs d)) want
+          in
+          (outcome (fun () -> Eval.run d env) = want
+          && outcome (fun () -> Eval.outputs d env) = want_outputs)
+          || QCheck.Test.fail_reportf "env %s disagrees"
+               (String.concat "; "
+                  (List.map (fun (nm, v) -> Printf.sprintf "%s=%d" nm v) env)))
+        (List.init 8 Fun.id))
+
+(* a missing input is an error only when it is read, and the error names
+   the first unbound input in operand-read order, not declaration order *)
+let test_eval_missing_read_order () =
+  let b = B.create ~name:"order" in
+  let a = B.input b "a" and bb = B.input b "b" in
+  ignore (B.input b "never");
+  let _ = B.add_op b Sub [ bb; a ] in
+  let d = B.build b in
+  Alcotest.(check (list string)) "declaration order" [ "a"; "b"; "never" ]
+    (Dfg.inputs d);
+  Alcotest.(check (array int)) "unread input may be missing" [| 3 |]
+    (Eval.run d [ ("b", 5); ("a", 2) ]);
+  Alcotest.check_raises "first read wins"
+    (Invalid_argument "Eval: missing input \"b\"") (fun () ->
+      ignore (Eval.run d []));
+  Alcotest.check_raises "outputs too"
+    (Invalid_argument "Eval: missing input \"a\"") (fun () ->
+      ignore (Eval.outputs d [ ("b", 1) ]))
+
 (* ---------------------------- profile ----------------------------- *)
 
 let test_profile_identical_ops () =
@@ -311,6 +456,9 @@ let () =
           Alcotest.test_case "missing input" `Quick test_eval_missing_input;
           Alcotest.test_case "operand values" `Quick test_eval_operand_values;
           Alcotest.test_case "fir16 dot product" `Quick test_eval_fir16_dot_product;
+          Alcotest.test_case "missing input read order" `Quick
+            test_eval_missing_read_order;
+          QCheck_alcotest.to_alcotest eval_matches_assoc_oracle;
         ] );
       ( "profile",
         [

@@ -401,6 +401,25 @@ let test_cosim_counts_detections () =
   Alcotest.(check (option int)) "no first-detect cycle" None
     cs.Campaign.cosim_first_detect
 
+(* Campaign.cosim is the same record for any [jobs], first-bad and
+   first-detect included: on fir16 (32 inputs drawn in declaration order)
+   and diff2 (3 outputs), over batches that span several 8-word strips *)
+let test_cosim_jobs_independent () =
+  List.iter
+    (fun (name, l_det, l_rec, vectors) ->
+      let dfg = Option.get (Thr_benchmarks.Suite.find name) in
+      let design =
+        design_for name Thr_iplib.Catalog.eight_vendors l_det l_rec
+          (10 * 7000 * Thr_dfg.Dfg.n_ops dfg)
+      in
+      let run jobs =
+        Campaign.cosim ~jobs ~prng:(Prng.create ~seed:11) ~vectors design
+      in
+      let one = run 1 in
+      Alcotest.(check int) (name ^ " vectors") vectors one.Campaign.cosim_vectors;
+      Alcotest.(check bool) (name ^ " jobs=1 = jobs=3") true (one = run 3))
+    [ ("fir16", 7, 5, 1100); ("diff2", 5, 4, 1300) ]
+
 (* --------------------- concurrent fault simulation ------------------ *)
 
 (* the adaptive 8-word batch, a sharded batch over more than one 8-word
@@ -648,6 +667,8 @@ let () =
             test_recorded_clean_run;
           Alcotest.test_case "cosim counts detections" `Quick
             test_cosim_counts_detections;
+          Alcotest.test_case "cosim independent of jobs" `Quick
+            test_cosim_jobs_independent;
         ] );
       ( "mutants",
         [

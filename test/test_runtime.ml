@@ -276,6 +276,16 @@ let test_stream_rule2_uniform_workload () =
 
 (* ---------------------------- campaign ---------------------------- *)
 
+(* a missing input read by the DFG is rejected before any copy executes,
+   naming the first unbound input the golden model reads *)
+let test_engine_missing_input () =
+  let design = design_for () in
+  let env = List.tl (env_for design 3) in
+  let missing = List.hd (Thr_dfg.Dfg.inputs design.Design.spec.Spec.dfg) in
+  Alcotest.check_raises "missing"
+    (Invalid_argument (Printf.sprintf "Eval: missing input %S" missing))
+    (fun () -> ignore (Engine.run design env))
+
 let test_campaign_fir16 () =
   let design =
     design_for ~dfg:(Suite.fir16 ()) ~catalog:Catalog.eight_vendors
@@ -355,6 +365,7 @@ let () =
           Alcotest.test_case "invalid design rejected" `Quick
             test_invalid_design_rejected;
           Alcotest.test_case "sequential trojan" `Quick test_sequential_trojan_in_engine;
+          Alcotest.test_case "missing input" `Quick test_engine_missing_input;
         ] );
       ( "streaming",
         [
