@@ -496,35 +496,46 @@ let strip_peek st net w = strip_peek_index st (Netlist.net_index net) w
 
 (* --------------------------- lane transpose --------------------------- *)
 
-(* Lane [l] of a strip is bit [l mod lanes] of word [l / lanes].  The
-   writer scatters each lane's value over the bus words in lane order, so
-   [value] runs exactly once per lane, in order (per-lane generator
-   draws stay in sequence). *)
-let strip_drive st bus n value =
-  let nb = Array.length bus in
-  let acc = Array.make nb 0 in
-  for w = 0 to st.sp.s_words - 1 do
-    let base = w * lanes in
-    for k = 0 to min lanes (n - base) - 1 do
-      let v = value (base + k) in
-      if v <> 0 then
-        for i = 0 to nb - 1 do
-          if (v lsr i) land 1 = 1 then acc.(i) <- acc.(i) lor (1 lsl k)
-        done
+(* Lane [l] of a strip is bit [l mod lanes] of word [l / lanes].  A bus
+   word is written from, or read into, one value per lane: bit [i] of
+   lane [k]'s value is bit [k] of the word of bus net [i]. *)
+let strip_write st bus w vals m =
+  if m > lanes || m > Array.length vals then
+    invalid_arg "Packed.strip_write: more lanes than values";
+  let s = st.sp.s_words and sv = st.sv in
+  for i = 0 to Array.length bus - 1 do
+    let acc = ref 0 in
+    for k = 0 to m - 1 do
+      acc := !acc lor (((Array.unsafe_get vals k lsr i) land 1) lsl k)
     done;
-    for i = 0 to nb - 1 do
-      strip_poke st bus.(i) w acc.(i);
-      acc.(i) <- 0
+    sv.((bus.(i) * s) + w) <- !acc
+  done
+
+let strip_read st bus w out =
+  if Array.length out < lanes then
+    invalid_arg "Packed.strip_read: output shorter than a lane word";
+  let s = st.sp.s_words and sv = st.sv in
+  Array.fill out 0 lanes 0;
+  for i = Array.length bus - 1 downto 0 do
+    let word = sv.((bus.(i) * s) + w) in
+    for k = 0 to lanes - 1 do
+      Array.unsafe_set out k
+        ((Array.unsafe_get out k lsl 1) lor ((word lsr k) land 1))
     done
   done
 
-let strip_lane st bus l =
-  let w = l / lanes and k = l mod lanes in
-  let v = ref 0 in
-  for i = Array.length bus - 1 downto 0 do
-    v := (!v lsl 1) lor ((strip_peek_index st bus.(i) w lsr k) land 1)
-  done;
-  !v
+(* [value] runs exactly once per lane, in order (per-lane generator draws
+   stay in sequence), into a word's buffer; then the word is written. *)
+let strip_drive st bus n value =
+  let buf = Array.make lanes 0 in
+  for w = 0 to st.sp.s_words - 1 do
+    let base = w * lanes in
+    let m = max 0 (min lanes (n - base)) in
+    for k = 0 to m - 1 do
+      buf.(k) <- value (base + k)
+    done;
+    strip_write st bus w buf m
+  done
 
 let strip_count st net n =
   let acc = ref 0 in

@@ -224,10 +224,20 @@ val strip_drive : strip -> int array -> int -> (int -> int) -> unit
     [0, n) with [value l] (bit [i] onto [bus.(i)]) and every other lane
     with 0.  [value] is called exactly once per lane, in lane order, so
     per-lane generator draws stay in sequence; word [w] is poked only
-    after all of its lanes were computed. *)
+    after all of its lanes were computed (with {!strip_write}). *)
 
-val strip_lane : strip -> int array -> int -> int
-(** [strip_lane st bus l]: lane [l] of [bus] as an unsigned int. *)
+val strip_write : strip -> int array -> int -> int array -> int -> unit
+(** [strip_write st bus w vals m] drives lane word [w] of input bus
+    [bus]: lane [k] takes [vals.(k)] (bit [i] onto [bus.(i)]) for
+    [k < m], every other lane 0.  One transpose of the [m] values into
+    the bus words; [m] must be at most {!lanes} and at most the length
+    of [vals]. *)
+
+val strip_read : strip -> int array -> int -> int array -> unit
+(** [strip_read st bus w out] sets [out.(k)] to lane [k] of lane word
+    [w] of [bus], as an unsigned int, for every [k < lanes]: the inverse
+    transpose, one pass over the bus words.  [out] must hold at least
+    {!lanes} values. *)
 
 val strip_count : strip -> int -> int -> int
 (** [strip_count st net n]: lanes in [0, n) where net index [net] is 1

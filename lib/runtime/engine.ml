@@ -57,22 +57,13 @@ let make_cores design injections =
     assignment;
   (tbl, assignment)
 
-let operand_value dfg env values op slot =
-  let nd = Dfg.node dfg op in
-  match nd.Dfg.operands.(slot) with
-  | Dfg.Const v -> v
-  | Dfg.Input s -> (
-      match List.assoc_opt s env with
-      | Some v -> v
-      | None -> invalid_arg (Printf.sprintf "Engine.run: missing input %S" s))
-  | Dfg.Node i -> values.(i)
-
-(* Execute one copy on its core, mutating the phase's value array. *)
-let execute_copy dfg env cores assignment spec binding values idx =
+(* Execute one copy on its core, mutating the phase's value array.
+   Operands come from the environment's resolved input [row]. *)
+let execute_copy dfg prog row cores assignment spec binding values idx =
   let c = Copy.of_index spec idx in
   let op = c.Copy.op in
-  let a = operand_value dfg env values op 0 in
-  let b = operand_value dfg env values op 1 in
+  let a = Eval.read prog row values op 0 in
+  let b = Eval.read prog row values op 1 in
   let clean = Op.eval (Dfg.kind dfg op) a b in
   let v = Binding.vendor binding idx in
   let ty = Spec.iptype_of_op spec op in
@@ -98,6 +89,7 @@ type session = {
   s_design : Design.t;
   s_cores : (int * int * int, core) Hashtbl.t;
   s_assignment : int array;
+  s_program : Eval.program;
 }
 
 let create_session ?(injections = []) design =
@@ -107,18 +99,27 @@ let create_session ?(injections = []) design =
       invalid_arg
         (Printf.sprintf "Engine.run: invalid design (%s)" (List.hd problems)));
   let cores, assignment = make_cores design injections in
-  { s_design = design; s_cores = cores; s_assignment = assignment }
+  {
+    s_design = design;
+    s_cores = cores;
+    s_assignment = assignment;
+    s_program = Eval.compile design.Design.spec.Spec.dfg;
+  }
 
 let run_phases ~recovery_copies session env =
   let design = session.s_design in
   let spec = design.Design.spec in
   let dfg = spec.Spec.dfg in
-  let golden = Eval.run dfg env in
+  let prog = session.s_program in
+  (* one resolution per frame: the golden model and every copy read it *)
+  let row = Eval.bind prog env in
+  let golden = Eval.exec prog row in
   let cores = session.s_cores and assignment = session.s_assignment in
   let n = Dfg.n_ops dfg in
   let nc = Array.make n 0 and rc = Array.make n 0 in
   let exec values idx =
-    execute_copy dfg env cores assignment spec design.Design.binding values idx
+    execute_copy dfg prog row cores assignment spec design.Design.binding values
+      idx
   in
   (* detection phase: interleave NC and RC in scheduled step order so that
      per-instance operand streams are cycle-faithful *)

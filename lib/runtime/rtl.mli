@@ -38,6 +38,9 @@ type t = {
       (** primary-input names of the per-mutant arming gates, in the
           order the [gated_injections] were given to {!elaborate};
           empty for ordinary elaborations *)
+  golden : Thr_dfg.Eval.program;
+      (** the design's DFG compiled once: the golden model behind
+          {!golden_agrees}, and the input order of every run *)
 }
 
 type seeded_bug = Comparator_skip
