@@ -47,6 +47,101 @@ let test_prng_int_invalid () =
   Alcotest.check_raises "empty range" (Invalid_argument "Prng.int_in: empty range")
     (fun () -> ignore (Prng.int_in t 3 2))
 
+(* Stream pin: the MD5 of the first 64 outputs of every draw function,
+   and of a split and a copied child, for a few seeds.  Every seeded
+   experiment (campaigns, generated DFGs, perfbench inputs) reads these
+   streams, so a change of representation must leave them bit-identical. *)
+let prng_streams seed =
+  let draws name f =
+    let t = Prng.create ~seed in
+    (name, String.concat " " (List.init 64 (fun _ -> f t)))
+  in
+  let child name make =
+    let t = Prng.create ~seed in
+    let c = make t in
+    let of_c = List.init 64 (fun _ -> Printf.sprintf "%Lx" (Prng.next_int64 c)) in
+    let of_t = List.init 64 (fun _ -> Printf.sprintf "%Lx" (Prng.next_int64 t)) in
+    (name, String.concat " " (of_c @ ("|" :: of_t)))
+  in
+  [
+    draws "next_int64" (fun t -> Printf.sprintf "%Lx" (Prng.next_int64 t));
+    draws "int" (fun t -> string_of_int (Prng.int t 1_000_003));
+    draws "int max" (fun t -> string_of_int (Prng.int t max_int));
+    draws "int_in" (fun t -> string_of_int (Prng.int_in t (-500) 500));
+    draws "float" (fun t -> Printf.sprintf "%h" (Prng.float t 1.0));
+    draws "bool" (fun t -> if Prng.bool t then "1" else "0");
+    child "split" Prng.split;
+    child "copy" (fun t ->
+        for _ = 1 to 3 do
+          ignore (Prng.next_int64 t)
+        done;
+        Prng.copy t);
+  ]
+
+let prng_pins =
+  [
+    ( 0,
+      [
+        ("next_int64", "75d15649d37054ae95c44224355b5dcf");
+        ("int", "cbd0e60ae2f51c7806d4201eaa9f1794");
+        ("int max", "27630be550df9059df1bf3b1a1d67a2b");
+        ("int_in", "49e4e8ea2308b989898085485d43607e");
+        ("float", "eb203c03ac69d3743e8e7ef8106a979e");
+        ("bool", "2a9e483c81de1dad42bf9dbc783cbea0");
+        ("split", "84299dc63e8aac36dfe1000f692eecdb");
+        ("copy", "a6d0970946d1871db02d2d83281f80d2");
+      ] );
+    ( 1,
+      [
+        ("next_int64", "a84c62f2017cf3845266dbbe92a4d444");
+        ("int", "0f7b73543c87e514b38cd8070d378038");
+        ("int max", "1ead45a1336c5c919772fa16bb7ecf58");
+        ("int_in", "704263ea53e037a938d04eae56eacce6");
+        ("float", "274fe19dc447ad7152c906600ae51762");
+        ("bool", "d56c8a7990c92f35dbb9abb10dade4e1");
+        ("split", "81c00ec016914c6c665e70f760a72d29");
+        ("copy", "f31910638e26d091fa64714d4b80cf88");
+      ] );
+    ( 42,
+      [
+        ("next_int64", "5ef1a1aff34b3421837f71ba5ff9cf32");
+        ("int", "7ef2cc2f1be0d2dd02c87c1860a40019");
+        ("int max", "6390aa6794f092624977d9387e8695dd");
+        ("int_in", "d10121702ffa42eb1393c32e9b76aa7e");
+        ("float", "e9c585e6853f1393bd47d7ab33e9c093");
+        ("bool", "67a82f03994cb007cb5bd620cad39c3e");
+        ("split", "64f1fdebcd93e9a97b2c12b361a69445");
+        ("copy", "9d2d97e53b5630918dec5016149600fc");
+      ] );
+    ( -1,
+      [
+        ("next_int64", "291c30e1672363eae5ba7aa6a5163a01");
+        ("int", "d200b81b79181ee1813b3a49b3bb9140");
+        ("int max", "acc8c8d1c7bf04e08eb147e223579be5");
+        ("int_in", "7ed1d8e219ccc42e92ad5ad73896df00");
+        ("float", "600d77e4a1622ba03c860efe941545e0");
+        ("bool", "f962db4539f94fc86594219ffec6be8c");
+        ("split", "b10546b8eb1f50ec6d24a958318acd48");
+        ("copy", "3e8436113575b58ab0f956a28182a883");
+      ] );
+  ]
+
+let test_prng_stream_pin () =
+  (* the reference SplitMix64 stream from state 0 *)
+  Alcotest.(check int64) "splitmix64 seed 0" 0xE220A8397B1DCDAFL
+    (Prng.next_int64 (Prng.create ~seed:0));
+  List.iter
+    (fun (seed, pins) ->
+      List.iter
+        (fun (name, text) ->
+          let got = Digest.to_hex (Digest.string text) in
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d %s" seed name)
+            (Option.value (List.assoc_opt name pins) ~default:"unpinned")
+            got)
+        (prng_streams seed))
+    prng_pins
+
 let test_prng_int_covers () =
   let t = Prng.create ~seed:10 in
   let seen = Array.make 6 false in
@@ -392,6 +487,7 @@ let () =
             test_sample_without_replacement;
           Alcotest.test_case "pick" `Quick test_pick;
           Alcotest.test_case "split" `Quick test_split_streams_differ;
+          Alcotest.test_case "stream pin" `Quick test_prng_stream_pin;
         ] );
       ( "pqueue",
         [
