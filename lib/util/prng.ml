@@ -1,22 +1,31 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 counter, kept unboxed in eight bytes: a draw reads and
+   writes it in place, where a [mutable int64] field would box every new
+   state. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 finaliser: mixes a weak 64-bit counter into a high-quality
    output.  Constants from Steele, Lea & Flood, "Fast splittable
    pseudorandom number generators" (OOPSLA 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 (* Stateless finaliser over the native 63-bit int, for counter-based
    streams in hot loops: xorshift-multiply rounds in immediate (unboxed)
@@ -28,7 +37,7 @@ let mix63 z =
   let z = (z lxor (z lsr 29)) * 0x369DEA0F31A53F85 in
   z lxor (z lsr 32)
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

@@ -6,7 +6,8 @@
     reproducible from a seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state.  Drawing an [int] or a [bool] allocates
+    nothing. *)
 
 val create : seed:int -> t
 (** [create ~seed] makes a fresh generator.  Equal seeds yield equal
@@ -26,9 +27,8 @@ val mix63 : int -> int
 (** Stateless xorshift-multiply finaliser over the native 63-bit int —
     a high-quality hash for counter-based streams.  Hash a structured
     counter instead of advancing mutable state, so any consumer can
-    recompute any position of the stream independently; unlike the
-    [Int64]-based generator ops it never allocates, which is what hot
-    simulation loops need. *)
+    recompute any position of the stream independently, which is what
+    hot simulation loops need. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive.
