@@ -26,149 +26,161 @@ type verdict = {
   detection_latency : int option;
 }
 
-(* Per-core-instance execution context: the Trojan (if the licence is
-   infected) and this instance's private trigger state. *)
-type core = { trojan : (Trojan.t * Trojan.state) option }
-
-let find_injection injections v ty =
-  List.find_opt
-    (fun inj -> Vendor.equal inj.inj_vendor v && Iptype.equal inj.inj_type ty)
-    injections
-
-let make_cores design injections =
-  (* one core per (vendor, type, instance index) actually used *)
-  let tbl = Hashtbl.create 32 in
-  let spec = design.Design.spec in
-  let assignment = Binding.instance_assignment spec design.Design.schedule design.Design.binding in
-  Array.iteri
-    (fun idx inst_no ->
-      let c = Copy.of_index spec idx in
-      let v = Binding.vendor design.Design.binding idx in
-      let ty = Spec.iptype_of_op spec c.Copy.op in
-      let key = (Vendor.id v, Iptype.to_index ty, inst_no) in
-      if not (Hashtbl.mem tbl key) then begin
-        let trojan =
-          match find_injection injections v ty with
-          | None -> None
-          | Some inj -> Some (inj.trojan, Trojan.fresh_state inj.trojan)
-        in
-        Hashtbl.add tbl key { trojan }
-      end)
-    assignment;
-  (tbl, assignment)
-
-(* Execute one copy on its core, mutating the phase's value array.
-   Operands come from the environment's resolved input [row]. *)
-let execute_copy dfg prog row cores assignment spec binding values idx =
-  let c = Copy.of_index spec idx in
-  let op = c.Copy.op in
-  let a = Eval.read prog row values op 0 in
-  let b = Eval.read prog row values op 1 in
-  let clean = Op.eval (Dfg.kind dfg op) a b in
-  let v = Binding.vendor binding idx in
-  let ty = Spec.iptype_of_op spec op in
-  let key = (Vendor.id v, Iptype.to_index ty, assignment.(idx)) in
-  let core = Hashtbl.find cores key in
-  let out =
-    match core.trojan with
-    | None -> clean
-    | Some (trojan, state) -> Trojan.apply trojan state ~a ~b ~clean
-  in
-  values.(op) <- out
-
-let outputs_equal dfg golden values =
-  List.for_all (fun o -> golden.(o) = values.(o)) (Dfg.outputs dfg)
-
-let copies_by_step spec schedule phase =
-  let n = Dfg.n_ops spec.Spec.dfg in
-  List.init n (fun op -> Copy.index spec { Copy.op; phase })
-  |> List.sort (fun a b ->
-         Stdlib.compare (Schedule.step schedule a, a) (Schedule.step schedule b, b))
-
-type session = {
-  s_design : Design.t;
-  s_cores : (int * int * int, core) Hashtbl.t;
-  s_assignment : int array;
-  s_program : Eval.program;
+(* What a frame needs that depends on the design alone.  Copies are dense
+   indices ([Copy.index]); cores are dense ids, one per (vendor, type,
+   instance) the binding uses, numbered in copy order. *)
+type plan = {
+  design : Design.t;
+  program : Eval.program;
+  kind : Op.kind array; (* per op *)
+  op_of : int array; (* per copy *)
+  core_of : int array; (* per copy *)
+  core_vendor : Vendor.t array; (* per core *)
+  core_type : Iptype.t array; (* per core *)
+  detect : int array; (* NC and RC copies in step order *)
+  recover : int array option; (* RV copies in step order, if the design recovers *)
+  naive : int array; (* NC copies in step order: re-execution on the same cores *)
+  ready : int array; (* per op: the later step of its NC and RC copies *)
+  outputs : int array;
+  instance : int array array; (* per core: its detection copies in step order *)
 }
 
-let create_session ?(injections = []) design =
+let plan design =
   (match Design.validate design with
   | [] -> ()
   | problems ->
       invalid_arg
         (Printf.sprintf "Engine.run: invalid design (%s)" (List.hd problems)));
-  let cores, assignment = make_cores design injections in
-  {
-    s_design = design;
-    s_cores = cores;
-    s_assignment = assignment;
-    s_program = Eval.compile design.Design.spec.Spec.dfg;
-  }
-
-let run_phases ~recovery_copies session env =
-  let design = session.s_design in
   let spec = design.Design.spec in
   let dfg = spec.Spec.dfg in
-  let prog = session.s_program in
-  (* one resolution per frame: the golden model and every copy read it *)
-  let row = Eval.bind prog env in
-  let golden = Eval.exec prog row in
-  let cores = session.s_cores and assignment = session.s_assignment in
+  let schedule = design.Design.schedule and binding = design.Design.binding in
   let n = Dfg.n_ops dfg in
+  let op_of = Array.init (Copy.count spec) (fun idx -> (Copy.of_index spec idx).Copy.op) in
+  let ids = Hashtbl.create 32 and cores = ref [] in
+  let core_of =
+    Array.mapi
+      (fun idx inst ->
+        let v = Binding.vendor binding idx and ty = Spec.iptype_of_op spec op_of.(idx) in
+        let key = (Vendor.id v, Iptype.to_index ty, inst) in
+        match Hashtbl.find_opt ids key with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length ids in
+            Hashtbl.add ids key c;
+            cores := (v, ty) :: !cores;
+            c)
+      (Binding.instance_assignment spec schedule binding)
+  in
+  let cores = Array.of_list (List.rev !cores) in
+  let step = Schedule.step schedule in
+  let by_step copies =
+    let a = Array.of_list copies in
+    Array.sort
+      (fun x y ->
+        let c = Int.compare (step x) (step y) in
+        if c <> 0 then c else Int.compare x y)
+      a;
+    a
+  in
+  let phase phase = List.init n (fun op -> Copy.index spec { Copy.op; phase }) in
+  let detect = by_step (phase Copy.NC @ phase Copy.RC) in
+  let instance = Array.make (Array.length cores) [] in
+  for k = Array.length detect - 1 downto 0 do
+    let c = core_of.(detect.(k)) in
+    instance.(c) <- detect.(k) :: instance.(c)
+  done;
+  let program = Eval.compile dfg in
+  {
+    design;
+    program;
+    kind = Array.init n (Dfg.kind dfg);
+    op_of;
+    core_of;
+    core_vendor = Array.map fst cores;
+    core_type = Array.map snd cores;
+    detect;
+    recover =
+      (match spec.Spec.mode with
+      | Spec.Detection_only -> None
+      | Spec.Detection_and_recovery -> Some (by_step (phase Copy.RV)));
+    naive = by_step (phase Copy.NC);
+    ready = Array.init n (fun op -> max (step op) (step (n + op)));
+    outputs = Array.of_list (Eval.output_ids program);
+    instance = Array.map Array.of_list instance;
+  }
+
+let program p = p.program
+
+let instance_copies p idx = p.instance.(p.core_of.(idx))
+
+(* Per core, the Trojan it carries (if its licence is infected) and that
+   instance's private trigger state. *)
+type cores = (Trojan.t * Trojan.state) option array
+
+(* Fresh states for the cores an injection infects; the first injection
+   naming a licence wins. *)
+let infect p injections : cores =
+  let cores = Array.make (Array.length p.core_vendor) None in
+  (match injections with
+  | [] -> ()
+  | _ ->
+      Array.iteri
+        (fun c v ->
+          let ty = p.core_type.(c) in
+          match
+            List.find_opt
+              (fun inj -> Vendor.equal inj.inj_vendor v && Iptype.equal inj.inj_type ty)
+              injections
+          with
+          | None -> ()
+          | Some inj -> cores.(c) <- Some (inj.trojan, Trojan.fresh_state inj.trojan))
+        p.core_vendor);
+  cores
+
+(* Execute copy [idx] on its core, writing its op's slot of [values].
+   Operands come from the frame's resolved input [row]. *)
+let execute p cores row values idx =
+  let op = p.op_of.(idx) in
+  let a = Eval.read p.program row values op 0 in
+  let b = Eval.read p.program row values op 1 in
+  let clean = Op.eval p.kind.(op) a b in
+  values.(op) <-
+    (match cores.(p.core_of.(idx)) with
+    | None -> clean
+    | Some (trojan, state) -> Trojan.apply trojan state ~a ~b ~clean)
+
+let outputs_equal p x y = Array.for_all (fun o -> x.(o) = y.(o)) p.outputs
+
+(* The frame kernel behind every entry point. *)
+let frame p cores ~recovery env =
+  let spec = p.design.Design.spec in
+  (* one resolution per frame: the golden model and every copy read it *)
+  let row = Eval.bind p.program env in
+  let golden = Eval.exec p.program row in
+  let n = Array.length p.kind in
   let nc = Array.make n 0 and rc = Array.make n 0 in
-  let exec values idx =
-    execute_copy dfg prog row cores assignment spec design.Design.binding values
-      idx
-  in
-  (* detection phase: interleave NC and RC in scheduled step order so that
+  (* detection phase: NC and RC interleaved in scheduled step order, so
      per-instance operand streams are cycle-faithful *)
-  let det_copies =
-    copies_by_step spec design.Design.schedule Copy.NC
-    @ copies_by_step spec design.Design.schedule Copy.RC
-    |> List.sort (fun a b ->
-           Stdlib.compare (Schedule.step design.Design.schedule a, a)
-             (Schedule.step design.Design.schedule b, b))
-  in
-  List.iter
-    (fun idx ->
-      let c = Copy.of_index spec idx in
-      let values = match c.Copy.phase with Copy.NC -> nc | _ -> rc in
-      exec values idx)
-    det_copies;
-  let detected = not (outputs_equal dfg nc rc) || not (Array.for_all2 ( = ) nc rc) in
+  Array.iter (fun idx -> execute p cores row (if idx < n then nc else rc) idx) p.detect;
   (* the comparator in hardware checks the computation outputs; comparing
      all per-op results as well gives the diagnostic latency below *)
-  let detected_hw = not (outputs_equal dfg nc rc) in
+  let detected = not (outputs_equal p nc rc) in
   let detection_latency =
-    if not detected then None
-    else begin
-      let best = ref max_int in
-      for op = 0 to n - 1 do
-        if nc.(op) <> rc.(op) then begin
-          let s_nc =
-            Schedule.step design.Design.schedule (Copy.index spec { Copy.op; phase = NC })
-          in
-          let s_rc =
-            Schedule.step design.Design.schedule (Copy.index spec { Copy.op; phase = RC })
-          in
-          let ready = max s_nc s_rc in
-          if ready < !best then best := ready
-        end
-      done;
-      if !best = max_int then None else Some !best
-    end
+    let best = ref max_int in
+    for op = 0 to n - 1 do
+      if nc.(op) <> rc.(op) && p.ready.(op) < !best then best := p.ready.(op)
+    done;
+    if !best = max_int then None else Some !best
   in
-  let nc_correct = outputs_equal dfg golden nc in
-  let run_recovery = detected_hw && recovery_copies <> None in
+  let nc_correct = outputs_equal p golden nc in
+  let run_recovery = detected && Option.is_some recovery in
   let recovery_correct =
-    if not run_recovery then false
-    else begin
-      let rv = Array.make n 0 in
-      let copies = match recovery_copies with Some c -> c | None -> [] in
-      List.iter (exec rv) copies;
-      outputs_equal dfg golden rv
-    end
+    match recovery with
+    | Some copies when run_recovery ->
+        let rv = Array.make n 0 in
+        Array.iter (execute p cores row rv) copies;
+        outputs_equal p golden rv
+    | _ -> false
   in
   let cycles =
     spec.Spec.latency_detect
@@ -177,10 +189,10 @@ let run_phases ~recovery_copies session env =
   (* mirror the behavioural run into the runtime journal; guarded here so
      the disabled cost stays one atomic load for the whole frame *)
   if Journal.enabled () then begin
-    if detected_hw then
+    if detected then
       Journal.emit
         ~cycle:(Option.value detection_latency ~default:spec.Spec.latency_detect)
-        ~ctx:[ ("engine", "behavioural"); ("design", Dfg.name dfg) ]
+        ~ctx:[ ("engine", "behavioural"); ("design", Dfg.name spec.Spec.dfg) ]
         Journal.Mismatch_detected;
     if run_recovery then begin
       Journal.emit
@@ -194,7 +206,7 @@ let run_phases ~recovery_copies session env =
     end
   end;
   {
-    detected = detected_hw;
+    detected;
     nc_correct;
     recovery_ran = run_recovery;
     recovery_correct;
@@ -202,25 +214,24 @@ let run_phases ~recovery_copies session env =
     detection_latency;
   }
 
-let recovery_copies_of design =
-  let spec = design.Design.spec in
-  match spec.Spec.mode with
-  | Spec.Detection_only -> None
-  | Spec.Detection_and_recovery ->
-      Some (copies_by_step spec design.Design.schedule Copy.RV)
+let run_plan ?(injections = []) ?(rebind = true) p env =
+  (* naive recovery replays the NC copies on the same cores *)
+  let recovery = if rebind then p.recover else Some p.naive in
+  frame p (infect p injections) ~recovery env
 
-let run_frame session env =
-  run_phases ~recovery_copies:(recovery_copies_of session.s_design) session env
-
-let run ?injections design env =
-  run_frame (create_session ?injections design) env
-
-let run_stream ?injections design envs =
-  let session = create_session ?injections design in
-  List.map (run_frame session) envs
+let run ?injections design env = run_plan ?injections (plan design) env
 
 let run_without_rebinding ?injections design env =
-  (* naive recovery: replay the NC copies on the same cores *)
-  let spec = design.Design.spec in
-  let recovery_copies = Some (copies_by_step spec design.Design.schedule Copy.NC) in
-  run_phases ~recovery_copies (create_session ?injections design) env
+  run_plan ?injections ~rebind:false (plan design) env
+
+type session = { s_plan : plan; s_cores : cores }
+
+let create_session ?(injections = []) design =
+  let p = plan design in
+  { s_plan = p; s_cores = infect p injections }
+
+let run_frame s env = frame s.s_plan s.s_cores ~recovery:s.s_plan.recover env
+
+let run_stream ?injections design envs =
+  let s = create_session ?injections design in
+  List.map (run_frame s) envs

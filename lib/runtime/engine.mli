@@ -59,6 +59,39 @@ val run_without_rebinding :
     cores) instead of the re-bound RV copies.  With a persistent trigger
     condition the Trojan stays active and recovery fails. *)
 
+(** {1 Plans}
+
+    {!run} and its siblings validate the design and lay it out on every
+    call.  A {!plan} does that once: it holds the compiled golden model,
+    a dense core id per copy and the step-ordered copy lists of every
+    phase, and it is immutable, so domains can share it.  Each frame run
+    on a plan starts fresh Trojan states for the cores the injections
+    infect. *)
+
+type plan
+
+val plan : Thr_hls.Design.t -> plan
+(** @raise Invalid_argument ["Engine.run: invalid design (...)"] if the
+    design is invalid ({!Thr_hls.Design.validate}). *)
+
+val run_plan :
+  ?injections:injection list ->
+  ?rebind:bool ->
+  plan ->
+  Thr_dfg.Eval.env ->
+  verdict
+(** {!run} on a plan; with [~rebind:false] (default [true]),
+    {!run_without_rebinding}.
+    @raise Invalid_argument if the environment misses an input. *)
+
+val program : plan -> Thr_dfg.Eval.program
+(** The plan's compiled DFG. *)
+
+val instance_copies : plan -> int -> int array
+(** [instance_copies p idx] is every detection-phase (NC or RC) copy
+    that the core instance executing copy [idx] executes, in step order:
+    the operand stream a counter trigger in that instance observes. *)
+
 (** {1 Streaming operation}
 
     Real DSP datapaths process frame after frame; counter-based triggers
