@@ -53,7 +53,12 @@ val run :
     over a {!Thr_util.Dpool}; the tally is identical for a given [jobs]
     value but differs from the [jobs = 1] stream.
 
-    @raise Invalid_argument otherwise, or if the design is invalid. *)
+    The design is validated and laid out once ({!Engine.plan}), before
+    any trial, and every trial (on any domain) runs on that plan.
+
+    @raise Invalid_argument otherwise, or if the design is invalid
+    (also when [n_runs = 0]); either is raised in the calling domain
+    before anything is drawn from [prng]. *)
 
 val pp_result : Format.formatter -> result -> unit
 
@@ -71,7 +76,9 @@ val armed_injection :
     clean operand stream like campaign trials.  This powers
     [thls simulate --mutant trojan[-seq] --record]: the canned lint
     mutants' fixed 0xDEAD/0xBEEF patterns essentially never occur at run
-    time, so they cannot produce a recordable detection. *)
+    time, so they cannot produce a recordable detection.
+
+    @raise Invalid_argument with [sequential] if the design is invalid. *)
 
 (** {1 Gate-level co-simulation} *)
 
