@@ -13,17 +13,20 @@
 
    Clauses are emitted through a [sink] so callers can interpose — the
    portfolio prover routes each frame through {!Preprocess} before the
-   clauses reach the solver. *)
+   clauses reach the solver.  Each clause is written into one small
+   buffer owned by the frame being encoded and handed over as a prefix
+   of it, so encoding straight into a solver allocates nothing per
+   clause. *)
 
 module Trace = Thr_obs.Trace
 module Packed = Thr_gates.Packed
 module Netlist = Thr_gates.Netlist
 
-type sink = { fresh_var : unit -> int; clause : int list -> unit }
+type sink = { fresh_var : unit -> int; clause : int array -> int -> unit }
 
 let solver_sink s =
   { fresh_var = (fun () -> Solver.new_var s);
-    clause = (fun c -> Solver.add_clause s c) }
+    clause = Solver.add_clause_array s }
 
 type frame = {
   f_nl : Netlist.t;
@@ -58,47 +61,63 @@ let has_state nl ~cone =
   !found
 
 (* Gate clauses, [z] the output variable.  Each set is the standard
-   Tseitin biconditional of the gate function. *)
+   Tseitin biconditional of the gate function.  [buf] is the frame's
+   clause buffer; a clause is its first one to three slots. *)
 
-let emit_not k z a =
-  k.clause [ z; a ];
-  k.clause [ -z; -a ]
+let c1 k buf x =
+  buf.(0) <- x;
+  k.clause buf 1
 
-let emit_and k z a b =
-  k.clause [ -z; a ];
-  k.clause [ -z; b ];
-  k.clause [ z; -a; -b ]
+let c2 k buf x y =
+  buf.(0) <- x;
+  buf.(1) <- y;
+  k.clause buf 2
 
-let emit_or k z a b =
-  k.clause [ z; -a ];
-  k.clause [ z; -b ];
-  k.clause [ -z; a; b ]
+let c3 k buf x y z =
+  buf.(0) <- x;
+  buf.(1) <- y;
+  buf.(2) <- z;
+  k.clause buf 3
 
-let emit_nand k z a b =
-  k.clause [ z; a ];
-  k.clause [ z; b ];
-  k.clause [ -z; -a; -b ]
+let emit_not k buf z a =
+  c2 k buf z a;
+  c2 k buf (-z) (-a)
 
-let emit_nor k z a b =
-  k.clause [ -z; -a ];
-  k.clause [ -z; -b ];
-  k.clause [ z; a; b ]
+let emit_and k buf z a b =
+  c2 k buf (-z) a;
+  c2 k buf (-z) b;
+  c3 k buf z (-a) (-b)
 
-let emit_xor k z a b =
-  k.clause [ -z; a; b ];
-  k.clause [ -z; -a; -b ];
-  k.clause [ z; -a; b ];
-  k.clause [ z; a; -b ]
+let emit_or k buf z a b =
+  c2 k buf z (-a);
+  c2 k buf z (-b);
+  c3 k buf (-z) a b
+
+let emit_nand k buf z a b =
+  c2 k buf z a;
+  c2 k buf z b;
+  c3 k buf (-z) (-a) (-b)
+
+let emit_nor k buf z a b =
+  c2 k buf (-z) (-a);
+  c2 k buf (-z) (-b);
+  c3 k buf z a b
+
+let emit_xor k buf z a b =
+  c3 k buf (-z) a b;
+  c3 k buf (-z) (-a) (-b);
+  c3 k buf z (-a) b;
+  c3 k buf z a (-b)
 
 (* z = if sel then t1 else t0; the last two clauses are redundant but
    strengthen unit propagation when both arms agree. *)
-let emit_mux k z sel t0 t1 =
-  k.clause [ -sel; -t1; z ];
-  k.clause [ -sel; t1; -z ];
-  k.clause [ sel; -t0; z ];
-  k.clause [ sel; t0; -z ];
-  k.clause [ -t0; -t1; z ];
-  k.clause [ t0; t1; -z ]
+let emit_mux k buf z sel t0 t1 =
+  c3 k buf (-sel) (-t1) z;
+  c3 k buf (-sel) t1 (-z);
+  c3 k buf sel (-t0) z;
+  c3 k buf sel t0 (-z);
+  c3 k buf (-t0) (-t1) z;
+  c3 k buf t0 t1 (-z)
 
 let encode_frame_via k nl ?(free_state = false) ~cone ~prev () =
   Trace.with_span "sat.cnf"
@@ -108,6 +127,7 @@ let encode_frame_via k nl ?(free_state = false) ~cone ~prev () =
       if Array.length cone <> Netlist.n_nets nl then
         invalid_arg "Cnf.encode_frame: cone mask size mismatch";
       let vars = Array.make (Netlist.n_nets nl) 0 in
+      let buf = Array.make 3 0 in
       (* primary inputs: a fresh unconstrained variable per frame *)
       let f_inputs =
         Array.map
@@ -125,7 +145,7 @@ let encode_frame_via k nl ?(free_state = false) ~cone ~prev () =
           if cone.(i) then begin
             let z = k.fresh_var () in
             vars.(i) <- z;
-            k.clause [ (if v then z else -z) ]
+            c1 k buf (if v then z else -z)
           end)
         (Packed.tape_consts tp);
       let operand name i =
@@ -151,7 +171,7 @@ let encode_frame_via k nl ?(free_state = false) ~cone ~prev () =
                 (* frame 1: the power-on value, as a pinned variable *)
                 let z = k.fresh_var () in
                 vars.(d) <- z;
-                k.clause [ (if Packed.tape_dff_init tp a then z else -z) ]
+                c1 k buf (if Packed.tape_dff_init tp a then z else -z)
             | Some p ->
                 (* frame f: alias to frame f-1's data-net variable.  The
                    cone is closed through DFFs, so it is present. *)
@@ -170,19 +190,19 @@ let encode_frame_via k nl ?(free_state = false) ~cone ~prev () =
           else begin
             let z = k.fresh_var () in
             vars.(d) <- z;
-            if code = Packed.op_not then emit_not k z (operand "not" a)
+            if code = Packed.op_not then emit_not k buf z (operand "not" a)
             else if code = Packed.op_and then
-              emit_and k z (operand "and" a) (operand "and" b)
+              emit_and k buf z (operand "and" a) (operand "and" b)
             else if code = Packed.op_or then
-              emit_or k z (operand "or" a) (operand "or" b)
+              emit_or k buf z (operand "or" a) (operand "or" b)
             else if code = Packed.op_xor then
-              emit_xor k z (operand "xor" a) (operand "xor" b)
+              emit_xor k buf z (operand "xor" a) (operand "xor" b)
             else if code = Packed.op_nand then
-              emit_nand k z (operand "nand" a) (operand "nand" b)
+              emit_nand k buf z (operand "nand" a) (operand "nand" b)
             else if code = Packed.op_nor then
-              emit_nor k z (operand "nor" a) (operand "nor" b)
+              emit_nor k buf z (operand "nor" a) (operand "nor" b)
             else if code = Packed.op_mux then
-              emit_mux k z (operand "mux" a) (operand "mux" b)
+              emit_mux k buf z (operand "mux" a) (operand "mux" b)
                 (operand "mux" c)
             else invalid_arg "Cnf.encode_frame: unknown opcode"
           end

@@ -20,10 +20,17 @@ type frame
 
 type sink = {
   fresh_var : unit -> int;  (** allocate the next DIMACS variable *)
-  clause : int list -> unit;  (** receive one emitted clause *)
+  clause : int array -> int -> unit;
+      (** [clause buf n] receives one emitted clause, the DIMACS
+          literals [buf.(0) .. buf.(n - 1)] *)
 }
-(** Where encoded clauses go.  {!solver_sink} targets a solver directly;
-    {!Induction} buffers clauses for {!Preprocess} first. *)
+(** Where encoded clauses go.  The encoder writes every clause of a
+    frame into one small buffer of its own and passes a prefix of it, so
+    a sink must copy whatever it keeps before returning: the buffer is
+    overwritten by the next clause.  A sink must not write to the buffer.
+    {!solver_sink} hands each clause to {!Solver.add_clause_array}, which
+    copies it into the solver's arena without allocating; {!Induction}
+    copies clauses into lists for {!Preprocess} first. *)
 
 val solver_sink : Solver.t -> sink
 

@@ -44,10 +44,14 @@ let m_clauses_out = Metrics.counter "thr_sat_preprocess_clauses_out_total"
 
 let m_probe_units = Metrics.counter "thr_sat_preprocess_probe_units_total"
 
+(* by variable, then the negative literal first *)
+let by_var a b =
+  let c = Int.compare (abs a) (abs b) in
+  if c <> 0 then c else Int.compare a b
+
 (* sort by variable, drop duplicates, detect tautologies *)
 let norm lits =
-  let l = List.sort_uniq compare lits in
-  let l = List.sort (fun a b -> compare (abs a, a) (abs b, b)) l in
+  let l = List.sort_uniq by_var lits in
   let rec taut = function
     | a :: b :: rest -> a = -b || taut (b :: rest)
     | _ -> false
@@ -88,7 +92,11 @@ let simplify ?(probe_limit = 512) ?(elim_occ_limit = 10) t ~frozen ~n_vars
         | Some c ->
         (* simplify against the current root values on the way in *)
         if not (List.exists (fun l -> lit_value l = 1) c) then begin
-          let c = List.filter (fun l -> lit_value l <> -1) c in
+          let c =
+            if List.exists (fun l -> lit_value l = -1) c then
+              List.filter (fun l -> lit_value l <> -1) c
+            else c
+          in
           match c with
           | [] -> raise Unsat_found
           | [ l ] -> Queue.add l units
@@ -249,16 +257,18 @@ let simplify ?(probe_limit = 512) ?(elim_occ_limit = 10) t ~frozen ~n_vars
               formula *)
            for v = 1 to n_vars do
              if value.(v) = 0 && not frozen.(v) then begin
-               let p = ref [] and n = ref [] in
-               List.iter
-                 (fun idx ->
-                   if !alive.(idx) then begin
-                     let c = !cls.(idx) in
-                     if List.mem v c then p := idx :: !p
-                     else if List.mem (-v) c then n := idx :: !n
-                   end)
-                 (List.sort_uniq compare occ.(v));
-               let np = List.length !p and nn = List.length !n in
+               (* [occ.(v)] holds each clause index once, newest first,
+                  and so do [p] and [n] *)
+               let p =
+                 List.filter
+                   (fun idx -> !alive.(idx) && List.mem v !cls.(idx))
+                   occ.(v)
+               and n =
+                 List.filter
+                   (fun idx -> !alive.(idx) && List.mem (-v) !cls.(idx))
+                   occ.(v)
+               in
+               let np = List.length p and nn = List.length n in
                if np <= elim_occ_limit && nn <= elim_occ_limit then begin
                  let resolvents = ref [] in
                  let count = ref 0 in
@@ -275,15 +285,15 @@ let simplify ?(probe_limit = 512) ?(elim_occ_limit = 10) t ~frozen ~n_vars
                          | Some r ->
                              incr count;
                              resolvents := r :: !resolvents)
-                       !n)
-                   !p;
+                       n)
+                   p;
                  if !count <= np + nn then begin
-                   let snapshot = List.map (fun i -> !cls.(i)) (!p @ !n) in
+                   let snapshot = List.map (fun i -> !cls.(i)) (p @ n) in
                    t.stack <- Eliminated (v, snapshot) :: t.stack;
                    incr eliminated;
                    incr removed;
                    value.(v) <- 2 (* gone: never reconsidered *);
-                   List.iter (fun i -> !alive.(i) <- false) (!p @ !n);
+                   List.iter (fun i -> !alive.(i) <- false) (p @ n);
                    List.iter push_clause !resolvents;
                    drain_units ();
                    changed := true
