@@ -58,7 +58,6 @@ module Endurance = Thr_opt.Endurance
 module Simplex = Thr_lp.Simplex
 module Ilp_model = Thr_ilp.Model
 module Ilp_solve = Thr_ilp.Solve
-module Ilp_enumerate = Thr_ilp.Enumerate
 module Lp_format = Thr_ilp.Lp_format
 
 module Netlist = Thr_gates.Netlist

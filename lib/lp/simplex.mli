@@ -12,7 +12,8 @@
     factors are rebuilt when the eta file reaches its budget or a
     row/column pivot-agreement check trips — so per-pivot cost scales
     with the nonzeros actually touched instead of m·ncols as in the
-    former dense tableau (retained as {!Dense} for cross-checking).
+    former dense tableau (kept as a cross-checking oracle next to
+    [test/test_lp.ml]).
 
     Minimisation only; negate the objective for maximisation.
     Anti-cycling: Dantzig pricing with a fallback to Bland's rule after a

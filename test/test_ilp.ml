@@ -2,7 +2,6 @@
 
 module Model = Thr_ilp.Model
 module Solve = Thr_ilp.Solve
-module Enumerate = Thr_ilp.Enumerate
 
 let test_knapsack () =
   let m = Model.create () in

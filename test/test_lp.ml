@@ -240,14 +240,14 @@ let warm_vs_cold_prop =
         tweaks)
 
 (* Property: the LU-factorised revised simplex and the retained dense-tableau
-   oracle ({!Thr_lp.Dense}) agree on every random LP — same status
+   oracle ({!Dense}, kept next to this file) agree on every random LP — same status
    constructor, objectives within 1e-9 (relative) — including warm re-solves
    of the LU engine after bound perturbations, checked against a freshly
    built dense solve.  Unlike [random_lp_prop] the instances here are not
    anchored to a feasible point: mixed relations, signed right-hand sides
    and occasionally-unbounded variables make Infeasible and Unbounded
    outcomes reachable, so all three statuses are exercised. *)
-module D = Thr_lp.Dense
+module D = Dense
 
 let engine_equiv_gen =
   QCheck.Gen.(
