@@ -1,11 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 5) plus the run-time campaign behind Figs. 1-4 and
-   an ablation study, and times the solvers with Bechamel.
+   an ablation study, and runs the CI gates (sim, sat, ilp).  Timings
+   live in the repository benchmark, perfbench/.
 
-     dune exec bench/main.exe            # fig5 table3 table4 campaign ablation
+     dune exec bench/main.exe            # fig5 table3 table4 campaign
+                                         #   ablation testtime rtl
      dune exec bench/main.exe -- table3  # a single experiment
-     dune exec bench/main.exe -- timing  # Bechamel micro-benchmarks
-     dune exec bench/main.exe -- json    # solver metrics -> BENCH_solvers.json
+     dune exec bench/main.exe -- --bench polynom --max-ilp-warm-seconds 10 ilp
 
    `--jobs N` fans independent work (table rows, campaign trials) out over
    N domains; the default is `Dpool.default_jobs ()` and `--jobs 1` runs
@@ -416,34 +417,46 @@ let testtime () =
      comparison catches every activation regardless — the paper's case for \
      designing recovery in.@."
 
+(* -------------------------- campaign class ------------------------- *)
+
+(* The designs behind rtl, sim, sat and journal: benchmark, catalogue,
+   detection and recovery latency, area budget. *)
+let campaign_class =
+  [
+    ("motivational", (T.Catalog.table1, 4, 3, 40_000));
+    ("diff2", (T.Catalog.eight_vendors, 5, 4, 90_000));
+    ("fir16", (T.Catalog.eight_vendors, 7, 5, 300_000));
+  ]
+
+(* the optimised design of one campaign-class benchmark, if any *)
+let campaign_design name =
+  let catalog, l_det, l_rec, area = List.assoc name campaign_class in
+  let spec =
+    T.Spec.make ~dfg:(Option.get (T.Benchmarks.find name)) ~catalog
+      ~latency_detect:l_det ~latency_recover:l_rec ~area_limit:area ()
+  in
+  match T.Optimize.run spec with
+  | Ok { design; _ } -> Some design
+  | Error _ -> None
+
 (* ------------------------------ rtl -------------------------------- *)
 
 let rtl () =
   Format.printf "@.== RTL elaboration (structural netlists of the designs) ==@.";
   List.iter
-    (fun (name, catalog, l_det, l_rec, area) ->
-      let dfg = Option.get (T.Benchmarks.find name) in
-      let spec =
-        T.Spec.make ~dfg ~catalog ~latency_detect:l_det ~latency_recover:l_rec
-          ~area_limit:area ()
-      in
-      match T.Optimize.run spec with
-      | Error _ -> Format.printf "  %-12s no design@." name
-      | Ok { design; _ } ->
+    (fun (name, _) ->
+      match campaign_design name with
+      | None -> Format.printf "  %-12s no design@." name
+      | Some design ->
           let r = T.Rtl.elaborate ~width:16 design in
           Format.printf "  %-12s %s@." name (T.Rtl.stats r);
           (* one clean vector through the silicon as a sanity check *)
-          let env =
-            List.map (fun i -> (i, 5)) (T.Dfg.inputs dfg)
-          in
+          let dfg = design.T.Design.spec.T.Spec.dfg in
+          let env = List.map (fun i -> (i, 5)) (T.Dfg.inputs dfg) in
           let golden = T.Dfg_eval.outputs dfg env in
           let res = T.Rtl.run r env in
           assert ((not res.T.Rtl.r_mismatch) && res.T.Rtl.r_nc = golden))
-    [
-      ("motivational", T.Catalog.table1, 4, 3, 40_000);
-      ("diff2", T.Catalog.eight_vendors, 5, 4, 90_000);
-      ("fir16", T.Catalog.eight_vendors, 7, 5, 300_000);
-    ];
+    campaign_class;
   Format.printf
     "(each netlist contains the shared functional units, operand muxes, \
      result registers, step counter and the NC/RC comparator)@."
@@ -452,17 +465,6 @@ let rtl () =
 
 (* set from --min-speedup in [main]; 0 = report only, do not enforce *)
 let min_speedup = ref 0.0
-
-(* set from --max-ilp-warm-seconds in [main]; 0 = report only.  When
-   positive, [json] fails (exit 1) if any measured warm ILP row takes
-   longer than this many seconds — the CI regression gate for the
-   revised-simplex + cutting-plane solve path. *)
-let max_ilp_warm_seconds = ref 0.0
-
-(* set from --bench in [main]; empty = every Table 3/4 row.  Restricts
-   the [json] experiment to the named benchmarks (comma-separated), so
-   CI can gate on a small fast subset. *)
-let bench_filter : string list ref = ref []
 
 module P = T.Gate_packed
 
@@ -478,24 +480,6 @@ let rate f n_vectors =
     elapsed := Unix.gettimeofday () -. t0
   done;
   float_of_int (!reps * n_vectors) /. !elapsed
-
-(* The campaign-class netlists of the [rtl] experiment, elaborated once. *)
-let sim_netlists () =
-  List.filter_map
-    (fun (name, catalog, l_det, l_rec, area) ->
-      let dfg = Option.get (T.Benchmarks.find name) in
-      let spec =
-        T.Spec.make ~dfg ~catalog ~latency_detect:l_det ~latency_recover:l_rec
-          ~area_limit:area ()
-      in
-      match T.Optimize.run spec with
-      | Error _ -> None
-      | Ok { design; _ } -> Some (name, T.Rtl.elaborate ~width:16 design))
-    [
-      ("motivational", T.Catalog.table1, 4, 3, 40_000);
-      ("diff2", T.Catalog.eight_vendors, 5, 4, 90_000);
-      ("fir16", T.Catalog.eight_vendors, 7, 5, 300_000);
-    ]
 
 type sim_row = {
   sim_bench : string;
@@ -544,8 +528,8 @@ let sim_verify name nl =
      scalar runs)@."
     name
 
-let sim_measure (name, rtl) =
-  let nl = rtl.T.Rtl.netlist in
+let sim_measure name design =
+  let nl = (T.Rtl.elaborate ~width:16 design).T.Rtl.netlist in
   let cycles = 4 in
   sim_verify name nl;
   let nets = T.Netlist.n_nets nl in
@@ -582,13 +566,18 @@ let sim_measure (name, rtl) =
          P.lanes);
   ]
 
-let sim_measurements () = List.concat_map sim_measure (sim_netlists ())
-
 let sim () =
   Format.printf
     "@.== Gate-simulation throughput (%d lanes, %d-word strips) ==@." P.lanes
     strip_words;
-  let rows = sim_measurements () in
+  let rows =
+    List.concat_map
+      (fun (name, _) ->
+        match campaign_design name with
+        | Some design -> sim_measure name design
+        | None -> [])
+      campaign_class
+  in
   let scalar_of bench =
     List.find_map
       (fun r ->
@@ -626,8 +615,8 @@ let sim () =
     (* enforce on the largest netlist: the strip engine exists to
        amortise per-instruction dispatch and per-lane stimulus, which
        dominate there.  The reference point is the one-word packed
-       engine as it stood before strips (fir16 single-domain, recorded
-       in BENCH_solvers.json schema 3), so the gate measures the strip
+       engine as it stood before strips (fir16 single-domain; see
+       EXPERIMENTS.md, sim), so the gate measures the strip
        engine itself rather than a same-run ratio that the shared fast
        stimulus path would flatten. *)
     let pre_strip_packed_vps = 24525.5 in
@@ -660,232 +649,68 @@ let sim () =
             !min_speedup
   end
 
-(* ------------------------------ json ------------------------------ *)
+(* ------------------------------- ilp ------------------------------ *)
 
-(* Machine-readable solver metrics, written to BENCH_solvers.json with
-   Thr_util.Json: for every Table 3/4 row the licence search's answer and
-   effort, plus — on rows whose literal ILP stays small enough to
-   branch-and-bound in seconds — a warm- vs cold-start comparison of the
-   same solve (identical optimum, fewer pivots).  Rows above
-   [ilp_var_gate] variables get ["ilp": null]: even with the
-   LU-factorised revised simplex their branch-and-bound trees are too
-   deep to finish within the node cap (the tight elliptic ILP alone has
-   ~10k variables).  A final section
-   drives the same rows through the optimisation service twice and
-   records the cache hit-rate and service-side p50/p95 of the warm
-   second pass. *)
-
-module J = T.Json
+(* The CI speed gate for the literal ILP: one warm-started
+   branch-and-bound solve, with the formulation's priority vars and at
+   most [ilp_node_cap] nodes, per Table 3/4 row.  Rows above
+   [ilp_var_gate] variables are skipped: their trees do not finish
+   within the node cap (the tight elliptic ILP alone has ~10k
+   variables).  test_ilp checks warm against cold; a traced perfbench
+   `design` run times the solver layer by layer. *)
 
 let ilp_var_gate = 800
 let ilp_node_cap = 2_000
 
-(* round to 6 significant digits so BENCH_solvers.json diffs stay small *)
-let sig6 x =
-  if x = 0.0 || not (Float.is_finite x) then x
-  else
-    let scale = 10.0 ** (5.0 -. Float.floor (Float.log10 (Float.abs x))) in
-    Float.round (x *. scale) /. scale
+(* set from --max-ilp-warm-seconds in [main]; 0 = report only.  When
+   positive, [ilp] fails (exit 1) if any measured row takes longer than
+   this many seconds, or if no row was measured at all. *)
+let max_ilp_warm_seconds = ref 0.0
 
-let json_quality = function
-  | T.Optimize.Optimal -> "optimal"
-  | T.Optimize.Incumbent -> "incumbent"
-  | T.Optimize.Heuristic -> "heuristic"
+(* set from --bench in [main]; empty = every Table 3/4 row.  Restricts
+   [ilp] to the named benchmarks (comma-separated), so CI can gate on a
+   small fast subset. *)
+let bench_filter : string list ref = ref []
 
-(* one warm or cold branch-and-bound run over a built formulation *)
-let json_ilp_side ~warm (f : T.Ilp_formulation.t) =
-  let t0 = Unix.gettimeofday () in
-  let outcome, st =
-    T.Ilp_solve.solve ~max_nodes:ilp_node_cap ~priority:f.T.Ilp_formulation.priority_vars
-      ~warm f.T.Ilp_formulation.model
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  let mc =
-    match outcome with
-    | T.Ilp_solve.Optimal sol | T.Ilp_solve.Budget (Some sol) ->
-        J.Int (T.Design.cost (f.T.Ilp_formulation.read_design sol))
-    | _ -> J.Null
-  in
-  let sx = st.T.Ilp_solve.simplex in
-  (* share of node LPs answered from a revived basis; lp_solves can be 0
-     when the node budget is 0, hence the guard *)
-  let hit =
-    float_of_int sx.T.Simplex.warm_solves
-    /. float_of_int (max 1 st.T.Ilp_solve.lp_solves)
-  in
-  ( J.Obj
-      [ ("mc", mc);
-        ("nodes", J.Int st.T.Ilp_solve.nodes);
-        ("lp_solves", J.Int st.T.Ilp_solve.lp_solves);
-        ("pivots", J.Int (T.Ilp_solve.total_pivots st));
-        ("warm_solves", J.Int sx.T.Simplex.warm_solves);
-        ("cold_solves", J.Int sx.T.Simplex.cold_solves);
-        ("refactorizations", J.Int sx.T.Simplex.refactorizations);
-        ("eta_updates", J.Int sx.T.Simplex.eta_updates);
-        ("cover_cuts", J.Int st.T.Ilp_solve.cover_cuts);
-        ("clique_cuts", J.Int st.T.Ilp_solve.clique_cuts);
-        ("cut_rounds", J.Int st.T.Ilp_solve.cut_rounds);
-        ("warm_hit_rate", J.Float (sig6 hit));
-        ("seconds", J.Float (sig6 seconds)) ],
-    (T.Ilp_solve.total_pivots st, seconds) )
-
-(* Per-row deltas of the process-wide metrics registry (simplex pivots,
-   B&B and CSP nodes, licence candidates).  Registry counters are global,
-   so with --jobs > 1 concurrent rows bleed into each other's deltas;
-   with --jobs 1 they are exact.  Readers of schema 1 ignore the extra
-   field. *)
-let registry_deltas before after =
-  let v l name = match List.assoc_opt name l with Some x -> x | None -> 0.0 in
-  List.map
-    (fun name -> (name, J.Int (int_of_float (v after name -. v before name))))
-    [
-      "simplex_pivots_total";
-      "simplex_warm_solves_total";
-      "simplex_cold_solves_total";
-      "bb_nodes_total";
-      "csp_nodes_total";
-      "license_candidates_total";
-    ]
-
-(* one row -> (json object, (warm, cold) pivots when compared) *)
-let json_row ~table ~mode row =
-  let snap0 = T.Metrics.snapshot () in
-  let spec = spec_of_row ~mode row in
-  let ls =
-    match
-      T.Optimize.run ~per_call_nodes:150_000 ~max_candidates:300_000
-        ~time_limit:30.0 spec
-    with
-    | Ok { design; quality; seconds; candidates; _ } ->
-        [
-          ("mc", J.Int (T.Design.cost design));
-          ("quality", J.String (json_quality quality));
-          ("seconds", J.Float (sig6 seconds));
-          ("candidates", J.Int candidates);
-        ]
-    | Error e ->
-        [
-          ("mc", J.Null);
-          ( "quality",
-            J.String
-              (match e with
-              | T.Optimize.Infeasible_proven -> "infeasible"
-              | T.Optimize.Infeasible_budget -> "budget") );
-          ("seconds", J.Null);
-          ("candidates", J.Null);
-        ]
-  in
-  let f = T.Ilp_formulation.build spec in
+(* one row -> (label, table cells, seconds), or None above the gate *)
+let ilp_row (table, mode, row) =
+  let f = T.Ilp_formulation.build (spec_of_row ~mode row) in
   let nv = T.Ilp_model.n_vars f.T.Ilp_formulation.model in
-  let ilp, pivots =
-    if nv > ilp_var_gate then (J.Null, None)
-    else begin
-      let warm_json, (warm_piv, warm_secs) = json_ilp_side ~warm:true f in
-      let cold_json, (cold_piv, _) = json_ilp_side ~warm:false f in
-      let label = Printf.sprintf "%s %s lambda=%d" table row.bench row.lambda in
-      ( J.Obj
-          [ ("vars", J.Int nv);
-            ("max_nodes", J.Int ilp_node_cap);
-            ("warm", warm_json);
-            ("cold", cold_json);
-            ( "pivot_ratio",
-              J.Float
-                (sig6 (float_of_int cold_piv /. float_of_int (max 1 warm_piv)))
-            ) ],
-        Some (warm_piv, cold_piv, warm_secs, label) )
-    end
-  in
-  let metrics = registry_deltas snap0 (T.Metrics.snapshot ()) in
-  ( J.Obj
-      ([
-         ("table", J.String table);
-         ("bench", J.String row.bench);
-         ("lambda", J.Int row.lambda);
-         ("l_det", J.Int row.l_det);
-         ("l_rec", J.Int row.l_rec);
-         ("frac", J.Float row.frac);
-         ("paper_mc", J.String row.paper_mc);
-       ]
-      @ ls
-      @ [ ("ilp", ilp); ("metrics", J.Obj metrics) ]),
-    pivots )
+  if nv > ilp_var_gate then None
+  else begin
+    let t0 = Unix.gettimeofday () in
+    let outcome, st =
+      T.Ilp_solve.solve ~max_nodes:ilp_node_cap
+        ~priority:f.T.Ilp_formulation.priority_vars ~warm:true
+        f.T.Ilp_formulation.model
+    in
+    let seconds = Unix.gettimeofday () -. t0 in
+    let mc sol suffix =
+      Printf.sprintf "$%d%s"
+        (T.Design.cost (f.T.Ilp_formulation.read_design sol))
+        suffix
+    in
+    Some
+      ( Printf.sprintf "%s %s lambda=%d" table row.bench row.lambda,
+        [
+          table;
+          row.bench;
+          string_of_int row.lambda;
+          string_of_int nv;
+          (match outcome with
+          | T.Ilp_solve.Optimal sol -> mc sol ""
+          | T.Ilp_solve.Budget (Some sol) -> mc sol "*"
+          | _ -> "-");
+          string_of_int st.T.Ilp_solve.nodes;
+          string_of_int (T.Ilp_solve.total_pivots st);
+          Printf.sprintf "%.3fs" seconds;
+        ],
+        seconds )
+  end
 
-(* Drive every Table 3/4 row through the optimisation service twice: a
-   cold pass that populates the content-addressed solve cache and a warm
-   pass answered from it.  Stats come from the service's own "stats"
-   request, so the recorded hit-rate and p50/p95 are exactly what a
-   client would observe.  Hard rows that degrade to the greedy incumbent
-   within the deadline are (by design) not cached, so the hit-rate also
-   documents how many of the paper's rows are service-cacheable within
-   the per-request budget. *)
-let json_service_pass () =
-  let module S = Thr_server.Service in
-  let config =
-    { S.default_config with S.default_deadline_ms = Some 10_000 }
-  in
-  let service = S.create ~config () in
-  let request ~mode row =
-    let spec = spec_of_row ~mode row in
-    J.to_string
-      (J.Obj
-         [ ("op", J.String "solve");
-           ("dfg", J.String (T.Dfg_parse.to_string spec.T.Spec.dfg));
-           ("catalog", J.String "eight");
-           ( "mode",
-             J.String
-               (match mode with
-               | T.Spec.Detection_only -> "detection"
-               | T.Spec.Detection_and_recovery -> "detection_and_recovery") );
-           ("latency_detect", J.Int spec.T.Spec.latency_detect);
-           ("latency_recover", J.Int spec.T.Spec.latency_recover);
-           ("area", J.Int spec.T.Spec.area_limit) ])
-  in
-  let work =
-    List.map (fun r -> (T.Spec.Detection_only, r)) table3_rows
-    @ List.map (fun r -> (T.Spec.Detection_and_recovery, r)) table4_rows
-  in
-  let lines = List.map (fun (mode, row) -> request ~mode row) work in
-  let pass () =
-    List.fold_left
-      (fun hits line ->
-        match S.handle_line service line with
-        | J.Obj fields ->
-            if List.assoc_opt "cache_hit" fields = Some (J.Bool true) then
-              hits + 1
-            else hits
-        | _ -> hits)
-      0 lines
-  in
-  let t0 = Unix.gettimeofday () in
-  let cold_hits = pass () in
-  let t_cold = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  let warm_hits = pass () in
-  let t_warm = Unix.gettimeofday () -. t1 in
-  let stats =
-    match S.stats_json service with
-    | J.Obj fields -> (
-        match List.assoc_opt "stats" fields with Some s -> s | None -> J.Null)
-    | _ -> J.Null
-  in
-  let n = List.length lines in
-  Format.printf
-    "service: %d rows, cold pass %.1fs (%d hits), warm pass %.3fs (%d/%d \
-     hits)@."
-    n t_cold cold_hits t_warm warm_hits n;
-  J.Obj
-    [ ("rows", J.Int n);
-      ("deadline_ms", J.Int 10_000);
-      ("cold_seconds", J.Float t_cold);
-      ("warm_seconds", J.Float t_warm);
-      ( "warm_hit_rate",
-        J.Float (float_of_int warm_hits /. float_of_int (max 1 n)) );
-      ( "warm_speedup",
-        J.Float (t_cold /. Float.max 1e-9 t_warm) );
-      ("stats", stats) ]
-
-let json () =
-  Format.printf "@.== Solver metrics -> BENCH_solvers.json ==@.";
+let ilp () =
+  Format.printf "@.== Warm literal ILP (<= %d vars, %d nodes) ==@."
+    ilp_var_gate ilp_node_cap;
   let keep r = !bench_filter = [] || List.mem r.bench !bench_filter in
   let work =
     List.map
@@ -900,72 +725,26 @@ let json () =
     exit 1
   end;
   let results =
-    T.Dpool.run ~jobs:!jobs (fun pool ->
-        T.Dpool.map pool
-          (fun (table, mode, row) -> json_row ~table ~mode row)
-          work)
+    List.filter_map Fun.id
+      (T.Dpool.run ~jobs:!jobs (fun pool -> T.Dpool.map pool ilp_row work))
   in
-  let warm_total, cold_total, compared, slowest =
+  let table =
+    T.Tablefmt.create
+      ~aligns:[ T.Tablefmt.Left; Left; Right; Right; Right; Right; Right; Right ]
+      ~header:
+        [ "Table"; "Benchmark"; "lambda"; "vars"; "mc"; "nodes"; "pivots"; "time" ]
+      ()
+  in
+  List.iter (fun (_, cells, _) -> T.Tablefmt.add_row table cells) results;
+  Format.printf "%s" (T.Tablefmt.render table);
+  let slowest =
     List.fold_left
-      (fun (w, c, n, sl) (_, p) ->
-        match p with
-        | Some (pw, pc, secs, label) ->
-            let sl =
-              match sl with
-              | Some (s0, _) when s0 >= secs -> sl
-              | _ -> Some (secs, label)
-            in
-            (w + pw, c + pc, n + 1, sl)
-        | None -> (w, c, n, sl))
-      (0, 0, 0, None) results
+      (fun acc (label, _, s) ->
+        match acc with
+        | Some (s0, _) when s0 >= s -> acc
+        | _ -> Some (s, label))
+      None results
   in
-  let ratio = float_of_int cold_total /. float_of_int (max 1 warm_total) in
-  let service = json_service_pass () in
-  let doc =
-    J.Obj
-      [ (* 5: the "packed" and "incremental" sim modes are gone with
-           their engines; rows are scalar / strips / fault-packed.
-           4: "sim" becomes per-mode rows (scalar / packed / strips /
-           incremental / fault-packed) with an activity column, replacing
-           the scalar/packed/sharded triple.
-           3: ILP sides gain LU/cut counters, warm_hit_rate is the share
-           of node LPs warm-started (was warm/(warm+cold) solve mix), and
-           floats are rounded to 6 significant digits.
-           2: per-row "metrics" registry deltas; 1: no such field *)
-        ("schema", J.Int 5);
-        ("rows", J.List (List.map fst results));
-        ( "summary",
-          J.Obj
-            [ ("rows_compared", J.Int compared);
-              ("warm_pivots", J.Int warm_total);
-              ("cold_pivots", J.Int cold_total);
-              ( "max_warm_seconds",
-                match slowest with
-                | Some (s, _) -> J.Float (sig6 s)
-                | None -> J.Null );
-              ("pivot_ratio", J.Float (sig6 ratio)) ] );
-        ("service", service);
-        ( "sim",
-          J.List
-            (List.map
-               (fun r ->
-                 J.Obj
-                   [ ("bench", J.String r.sim_bench);
-                     ("nets", J.Int r.sim_nets);
-                     ("mode", J.String r.sim_mode);
-                     ("activity", J.Float r.sim_activity);
-                     ("vps", J.Float (sig6 r.sim_vps)) ])
-               (sim_measurements ())) );
-        ("jobs", J.Int !jobs) ]
-  in
-  let oc = open_out "BENCH_solvers.json" in
-  output_string oc (J.to_string ~pretty:true doc);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf
-    "wrote BENCH_solvers.json (%d rows, %d with warm/cold ILP comparison; \
-     cold/warm pivot ratio %.2fx)@."
-    (List.length results) compared ratio;
   (match slowest with
   | Some (s, label) ->
       Format.printf "slowest warm ILP row: %s at %.3fs@." label s
@@ -983,97 +762,6 @@ let json () =
     | None ->
         Format.printf "--max-ilp-warm-seconds: no ILP row measured@.";
         exit 1
-
-(* ----------------------------- timing ----------------------------- *)
-
-let timing () =
-  let open Bechamel in
-  let open Toolkit in
-  Format.printf "@.== Timing (Bechamel, monotonic clock) ==@.";
-  let solve ~mode ~name ~frac () =
-    let dfg = Option.get (T.Benchmarks.find name) in
-    let cp = T.Dfg.critical_path dfg in
-    let spec =
-      spec_for ~mode ~dfg ~latency_detect:(cp + 1) ~latency_recover:cp ~frac
-    in
-    match T.License_search.search spec with
-    | T.License_search.Solved _, _ -> ()
-    | _ -> ()
-  in
-  let engine_design =
-    let spec =
-      T.Spec.make ~dfg:(T.Benchmarks.motivational ()) ~catalog:T.Catalog.table1
-        ~latency_detect:4 ~latency_recover:3 ~area_limit:40_000 ()
-    in
-    match T.Optimize.run spec with
-    | Ok { design; _ } -> design
-    | Error _ -> assert false
-  in
-  let env =
-    List.map (fun i -> (i, 9)) (T.Dfg.inputs engine_design.T.Design.spec.T.Spec.dfg)
-  in
-  let simplex () =
-    let p = T.Simplex.create ~n_vars:6 in
-    T.Simplex.set_objective p [ (0, -3.0); (1, -5.0); (2, 1.0); (3, -2.0) ];
-    T.Simplex.add_constraint p [ (0, 1.0); (2, 2.0) ] T.Simplex.Le 4.0;
-    T.Simplex.add_constraint p [ (1, 2.0); (3, 1.0) ] T.Simplex.Le 12.0;
-    T.Simplex.add_constraint p [ (0, 3.0); (1, 2.0); (4, 1.0) ] T.Simplex.Le 18.0;
-    T.Simplex.add_constraint p [ (3, 1.0); (5, -1.0) ] T.Simplex.Ge 1.0;
-    ignore (T.Simplex.solve p)
-  in
-  let tests =
-    Test.make_grouped ~name:"thls"
-      [
-        (* one Test per regenerated table/figure *)
-        Test.make ~name:"fig5:motivational"
-          (Staged.stage (fun () ->
-               let spec =
-                 T.Spec.make ~dfg:(T.Benchmarks.motivational ())
-                   ~catalog:T.Catalog.table1 ~latency_detect:4 ~latency_recover:3
-                   ~area_limit:22_000 ()
-               in
-               ignore (T.License_search.search spec)));
-        Test.make ~name:"table3:diff2-row"
-          (Staged.stage (solve ~mode:T.Spec.Detection_only ~name:"diff2" ~frac:2.5));
-        Test.make ~name:"table4:diff2-row"
-          (Staged.stage
-             (solve ~mode:T.Spec.Detection_and_recovery ~name:"diff2" ~frac:2.5));
-        Test.make ~name:"campaign:engine-run"
-          (Staged.stage (fun () -> ignore (T.Engine.run engine_design env)));
-        Test.make ~name:"substrate:simplex" (Staged.stage simplex);
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> est
-        | Some _ | None -> nan
-      in
-      if ns >= 1e9 then Format.printf "  %-28s %8.2f s/run@." name (ns /. 1e9)
-      else if ns >= 1e6 then Format.printf "  %-28s %8.2f ms/run@." name (ns /. 1e6)
-      else Format.printf "  %-28s %8.2f us/run@." name (ns /. 1e3))
-    (List.sort compare rows);
-  (* branch-and-bound / simplex effort counters on one representative
-     warm-started solve (polynom, tight area, detection only) *)
-  let row = List.nth table3_rows 1 in
-  let spec = spec_of_row ~mode:T.Spec.Detection_only row in
-  let f = T.Ilp_formulation.build spec in
-  let _, st =
-    T.Ilp_solve.solve ~priority:f.T.Ilp_formulation.priority_vars
-      f.T.Ilp_formulation.model
-  in
-  Format.printf
-    "@.B&B effort on %s lambda=%d (tight): nodes=%d lp_solves=%d@.  %a@."
-    row.bench row.lambda st.T.Ilp_solve.nodes st.T.Ilp_solve.lp_solves
-    T.Simplex.pp_stats st.T.Ilp_solve.simplex
 
 (* ------------------------------- sat ------------------------------ *)
 
@@ -1099,20 +787,14 @@ let sat () =
   let metric snap name =
     match List.assoc_opt name snap with Some v -> v | None -> 0.0
   in
-  let rows = ref [] in
   let total_candidates = ref 0
   and total_certified = ref 0
   and total_inconclusive = ref 0 in
   List.iter
-    (fun (name, catalog, l_det, l_rec, area) ->
-      let dfg = Option.get (T.Benchmarks.find name) in
-      let spec =
-        T.Spec.make ~dfg ~catalog ~latency_detect:l_det ~latency_recover:l_rec
-          ~area_limit:area ()
-      in
-      match T.Optimize.run spec with
-      | Error _ -> Format.printf "  %-12s no design@." name
-      | Ok { design; _ } ->
+    (fun name ->
+      match campaign_design name with
+      | None -> Format.printf "  %-12s no design@." name
+      | Some design ->
           List.iter
             (fun (mutant, injections) ->
               let rtl = T.Rtl.elaborate ~width:16 ~injections design in
@@ -1162,10 +844,8 @@ let sat () =
                 best2 (fun () -> T.Induction.prove ~jobs:!jobs nl cands)
               in
               let delta n = metric snap1 n -. metric snap0 n in
-              let certs = delta "thr_sat_certificates_total" in
               let clauses_in = delta "thr_sat_preprocess_clauses_in_total" in
               let clauses_out = delta "thr_sat_preprocess_clauses_out_total" in
-              let removed_vars = delta "thr_sat_preprocess_removed_vars_total" in
               let shrink =
                 if clauses_in > 0.0 then clauses_out /. clauses_in else 1.0
               in
@@ -1189,31 +869,9 @@ let sat () =
                     s.T.Check.prove_reachable s.T.Check.prove_certified
                     s.T.Check.prove_unreachable s.T.Check.prove_inconclusive
                     (T.Exit_code.code (T.Check.exit_code report))
-                    shrink base_ms seq_inconclusive ms speedup;
-                  rows :=
-                    J.Obj
-                      [
-                        ("bench", J.String name);
-                        ("mutant", J.String mutant);
-                        ("candidates", J.Int s.T.Check.prove_candidates);
-                        ("reachable", J.Int s.T.Check.prove_reachable);
-                        ("certified", J.Int s.T.Check.prove_certified);
-                        ("bounded_unreachable", J.Int s.T.Check.prove_unreachable);
-                        ("inconclusive", J.Int s.T.Check.prove_inconclusive);
-                        ("exit", J.Int (T.Exit_code.code (T.Check.exit_code report)));
-                        ("preprocess_shrink", J.Float (sig6 shrink));
-                        ("preprocess_removed_vars", J.Int (int_of_float removed_vars));
-                        ("certificates", J.Int (int_of_float certs));
-                        ("sequential_ms", J.Float (sig6 base_ms));
-                        ("portfolio_ms", J.Float (sig6 ms));
-                        ("speedup", J.Float (sig6 speedup));
-                      ]
-                    :: !rows)
+                    shrink base_ms seq_inconclusive ms speedup)
             (mutants design))
-    [
-      ("motivational", T.Catalog.table1, 4, 3, 40_000);
-      ("diff2", T.Catalog.eight_vendors, 5, 4, 90_000);
-    ];
+    [ "motivational"; "diff2" ];
   let rate =
     float_of_int !total_certified /. float_of_int (max 1 !total_candidates)
   in
@@ -1222,37 +880,6 @@ let sat () =
      witness replayed on the packed simulator, an unbounded k-induction or \
      combinational certificate, or bounded unreachability)@."
     rate !total_candidates;
-  (* merge the sat section into BENCH_solvers.json, preserving whatever
-     `bench -- json` wrote there *)
-  let existing =
-    try
-      let ic = open_in "BENCH_solvers.json" in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      match J.parse s with Ok (J.Obj fields) -> fields | _ -> []
-    with Sys_error _ -> []
-  in
-  let sat_doc =
-    J.Obj
-      [
-        ("bound", J.Int T.Bmc.default_bound);
-        ("jobs", J.Int !jobs);
-        ("rows", J.List (List.rev !rows));
-        ("candidates", J.Int !total_candidates);
-        ("certified", J.Int !total_certified);
-        ("certificate_rate", J.Float (sig6 rate));
-        ("inconclusive", J.Int !total_inconclusive);
-      ]
-  in
-  let fields =
-    ("sat", sat_doc) :: List.filter (fun (k, _) -> k <> "sat") existing
-  in
-  let oc = open_out "BENCH_solvers.json" in
-  output_string oc (J.to_string ~pretty:true (J.Obj fields));
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "merged sat section into BENCH_solvers.json@.";
   if !max_inconclusive >= 0 then
     if !total_inconclusive > !max_inconclusive then begin
       Format.printf
@@ -1313,9 +940,9 @@ let journal () =
       pushes
   in
   let rtl =
-    match sim_netlists () with
-    | (_, rtl) :: _ -> rtl
-    | [] -> failwith "no netlist"
+    match campaign_design "motivational" with
+    | Some design -> T.Rtl.elaborate ~width:16 design
+    | None -> failwith "no netlist"
   in
   let env =
     List.map
@@ -1365,119 +992,65 @@ let experiments =
     ("sim", sim);
     ("journal", journal);
     ("sat", sat);
-    ("timing", timing);
-    ("json", json);
+    ("ilp", ilp);
   ]
+
+let default_experiments =
+  [ "fig5"; "table3"; "table4"; "campaign"; "ablation"; "testtime"; "rtl" ]
 
 let () =
   jobs := T.Dpool.default_jobs ();
-  let set_jobs s =
-    match int_of_string_opt s with
-    | Some n -> jobs := max 1 n
-    | None ->
-        Format.printf "--jobs expects an integer, got %S@." s;
-        exit 1
+  let specs =
+    [
+      ( "--jobs",
+        Arg.Int (fun n -> jobs := max 1 n),
+        "N domains for independent work (default: cores - 1)" );
+      ( "--trace",
+        Arg.String
+          (fun path ->
+            T.Trace.enable ();
+            at_exit (fun () -> T.Trace.write_file path)),
+        "FILE write a Chrome trace_event profile of the run" );
+      ( "--min-speedup",
+        Arg.Set_float min_speedup,
+        "X sim: fail if fir16 strips run below X times the pre-strip engine" );
+      ( "--max-inconclusive",
+        Arg.Int
+          (fun n ->
+            if n < 0 then
+              raise (Arg.Bad "--max-inconclusive expects a non-negative integer");
+            max_inconclusive := n),
+        "N sat: fail above N inconclusive verdicts" );
+      ( "--max-ilp-warm-seconds",
+        Arg.Float
+          (fun x ->
+            if x <= 0.0 then
+              raise (Arg.Bad "--max-ilp-warm-seconds expects a positive number");
+            max_ilp_warm_seconds := x),
+        "S ilp: fail if a row takes longer than S seconds, or none is measured" );
+      ( "--bench",
+        Arg.String
+          (fun s ->
+            bench_filter :=
+              List.filter (fun b -> b <> "") (String.split_on_char ',' s)),
+        "B1,B2 ilp: only the rows of these benchmarks" );
+    ]
   in
-  let set_trace path =
-    T.Trace.enable ();
-    at_exit (fun () -> T.Trace.write_file path)
+  let usage =
+    Printf.sprintf "main.exe [OPTION]... [EXPERIMENT]...\nexperiments: %s (default: %s)"
+      (String.concat ", " (List.map fst experiments))
+      (String.concat " " default_experiments)
   in
-  let set_min_speedup s =
-    match float_of_string_opt s with
-    | Some x -> min_speedup := x
-    | None ->
-        Format.printf "--min-speedup expects a number, got %S@." s;
-        exit 1
-  in
-  let set_max_inconclusive s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> max_inconclusive := n
-    | _ ->
-        Format.printf
-          "--max-inconclusive expects a non-negative integer, got %S@." s;
-        exit 1
-  in
-  let set_max_ilp_warm s =
-    match float_of_string_opt s with
-    | Some x when x > 0.0 -> max_ilp_warm_seconds := x
-    | _ ->
-        Format.printf "--max-ilp-warm-seconds expects a positive number, got %S@." s;
-        exit 1
-  in
-  let set_bench s =
-    bench_filter :=
-      List.filter (fun b -> b <> "") (String.split_on_char ',' s)
-  in
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | [ "--jobs" ] ->
-        Format.printf "--jobs expects an integer argument@.";
-        exit 1
-    | "--jobs" :: n :: rest ->
-        set_jobs n;
-        parse acc rest
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-        set_jobs (String.sub a 7 (String.length a - 7));
-        parse acc rest
-    | [ "--trace" ] ->
-        Format.printf "--trace expects a file argument@.";
-        exit 1
-    | "--trace" :: path :: rest ->
-        set_trace path;
-        parse acc rest
-    | a :: rest when String.length a > 8 && String.sub a 0 8 = "--trace=" ->
-        set_trace (String.sub a 8 (String.length a - 8));
-        parse acc rest
-    | [ "--min-speedup" ] ->
-        Format.printf "--min-speedup expects a number argument@.";
-        exit 1
-    | "--min-speedup" :: x :: rest ->
-        set_min_speedup x;
-        parse acc rest
-    | a :: rest when String.length a > 14 && String.sub a 0 14 = "--min-speedup=" ->
-        set_min_speedup (String.sub a 14 (String.length a - 14));
-        parse acc rest
-    | [ "--max-inconclusive" ] ->
-        Format.printf "--max-inconclusive expects an integer argument@.";
-        exit 1
-    | "--max-inconclusive" :: n :: rest ->
-        set_max_inconclusive n;
-        parse acc rest
-    | a :: rest
-      when String.length a > 19 && String.sub a 0 19 = "--max-inconclusive=" ->
-        set_max_inconclusive (String.sub a 19 (String.length a - 19));
-        parse acc rest
-    | [ "--max-ilp-warm-seconds" ] ->
-        Format.printf "--max-ilp-warm-seconds expects a number argument@.";
-        exit 1
-    | "--max-ilp-warm-seconds" :: x :: rest ->
-        set_max_ilp_warm x;
-        parse acc rest
-    | a :: rest
-      when String.length a > 23 && String.sub a 0 23 = "--max-ilp-warm-seconds=" ->
-        set_max_ilp_warm (String.sub a 23 (String.length a - 23));
-        parse acc rest
-    | [ "--bench" ] ->
-        Format.printf "--bench expects a comma-separated benchmark list@.";
-        exit 1
-    | "--bench" :: b :: rest ->
-        set_bench b;
-        parse acc rest
-    | a :: rest when String.length a > 8 && String.sub a 0 8 = "--bench=" ->
-        set_bench (String.sub a 8 (String.length a - 8));
-        parse acc rest
-    | a :: rest -> parse (a :: acc) rest
-  in
-  let args = parse [] (List.tl (Array.to_list Sys.argv)) in
-  let to_run =
-    match args with
-    | [] ->
-        [
-          "fig5"; "table3"; "table4"; "campaign"; "ablation"; "testtime"; "rtl";
-          "timing";
-        ]
-    | l -> l
-  in
+  let args = ref [] in
+  (try Arg.parse_argv Sys.argv (Arg.align specs) (fun a -> args := a :: !args) usage
+   with
+  | Arg.Bad msg ->
+      prerr_string msg;
+      exit 1
+  | Arg.Help msg ->
+      print_string msg;
+      exit 0);
+  let to_run = if !args = [] then default_experiments else List.rev !args in
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with

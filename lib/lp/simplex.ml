@@ -36,14 +36,6 @@ let zero_stats =
 
 let total_pivots s = s.phase1_pivots + s.phase2_pivots + s.dual_pivots
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "pivots p1=%d p2=%d dual=%d (degen=%d bland=%d) solves warm=%d cold=%d \
-     lu refactor=%d eta=%d"
-    s.phase1_pivots s.phase2_pivots s.dual_pivots s.degenerate_pivots
-    s.bland_fallbacks s.warm_solves s.cold_solves s.refactorizations
-    s.eta_updates
-
 (* mutable cumulative counters behind the immutable [stats] view *)
 type counters = {
   mutable c_p1 : int;

@@ -112,6 +112,4 @@ val stats : problem -> stats
 
 val total_pivots : stats -> int
 
-val pp_stats : Format.formatter -> stats -> unit
-
 val pp_result : Format.formatter -> result -> unit

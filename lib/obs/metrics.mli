@@ -45,7 +45,7 @@ val bucket_counts : histogram -> (float * int) list
 val snapshot : unit -> (string * float) list
 (** Every registered value as a flat name-sorted association list;
     histograms contribute [name_count] and [name_sum].  Subtracting two
-    snapshots gives interval deltas (used by [bench -- json]). *)
+    snapshots gives interval deltas (used by [bench -- sat]). *)
 
 val to_prometheus : unit -> string
 (** Prometheus text exposition format, name-sorted, with [# TYPE] lines

@@ -1,5 +1,6 @@
 (* Minimal JSON, stdlib only: the wire format of the optimisation service
-   and the writer behind BENCH_solvers.json.
+   and the writer behind `lint --json`, postmortem bundles and
+   perfbench's results.
 
    Integers and floats are kept apart ([Int] never silently becomes
    [Float]) so protocol fields like latencies stay exact; [to_float]
