@@ -130,9 +130,11 @@ let jobs_flag =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Domains used for parallel work: with N >= 2 $(b,optimize) races \
-           the licence search against the literal ILP and $(b,simulate) \
-           fans the injection trials out.  1 = fully sequential and \
-           deterministic (default: cores - 1).")
+           the licence search against the literal ILP, $(b,simulate) \
+           fans the injection trials out and $(b,lint --prove) spreads \
+           independent candidate clusters (its verdicts do not depend on \
+           N).  1 = fully sequential and deterministic (default: cores - \
+           1).")
 
 (* Dpool.create rejects jobs < 1; turn that into a clean CLI error. *)
 let check_jobs jobs =
@@ -141,6 +143,14 @@ let check_jobs jobs =
       [ ("jobs", string_of_int jobs); ("hint", "--jobs must be >= 1") ];
     exit 1
   end
+
+(* Induction.prove rejects a bound < 1; the same clean CLI error. *)
+let check_prove = function
+  | Some k when k < 1 ->
+      T.Log.error "invalid_prove"
+        [ ("prove", string_of_int k); ("hint", "--prove must be >= 1") ];
+      exit 1
+  | _ -> ()
 
 (* simulate --record's --width and --record-depth, checked before the
    optimiser runs *)
@@ -710,9 +720,10 @@ let lint_cmd =
          certificates (exit 0).";
       `P
         "$(b,--prove) escalates every rare-net finding to an exact \
-         verdict via the shared-cone prover portfolio (CNF-preprocessed \
-         BMC interleaved with strengthened k-induction, raced across \
-         $(b,--jobs) domains): proved reachable (with the concrete \
+         verdict via the shared-cone prover portfolio (a BMC sweep to \
+         the bound, then strengthened k-induction for the survivors; \
+         independent candidate clusters spread over $(b,--jobs) domains \
+         without changing any verdict): proved reachable (with the concrete \
          activating input sequence, replayed on the packed simulator; \
          exit 4), certified unreachable at $(i,any) depth (a k-induction \
          or combinational-cone certificate, reported with its method and \
@@ -790,6 +801,7 @@ let lint_cmd =
         exit 1
     | Ok dfg, Ok catalog -> (
         check_jobs jobs;
+        check_prove prove;
         setup_trace trace;
         let spec =
           make_spec dfg catalog ~detection_only ~latency ~latency_recover ~area
@@ -941,7 +953,6 @@ let serve_cmd =
         persist_dir;
         max_queue;
         default_deadline_ms = deadline_ms;
-        jobs = 1;
       }
     in
     let service = Thr_server.Service.create ~config () in
@@ -1033,7 +1044,9 @@ let submit_cmd =
       value
       & opt (some int) None
       & info [ "jobs" ] ~docv:"N"
-          ~doc:"For --lint: domains for the server's prover portfolio.")
+          ~doc:
+            "For --lint: domains the server's prover spreads independent \
+             candidate clusters over (verdicts do not depend on it).")
   in
   let metrics_flag =
     Arg.(

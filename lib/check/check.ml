@@ -247,8 +247,8 @@ let prove_findings ~bound ~batch nl probs rare_findings =
       in
       (summary :: escalated, s))
 
-let run ?taint ?rare_threshold ?prob_iters ?empirical ?prove ?prove_budget
-    ?prover ?(jobs = 1) nl =
+let run ?taint ?rare_threshold ?empirical ?prove ?prove_budget ?prover
+    ?(jobs = 1) nl =
   Metrics.incr runs;
   let name = Netlist.name nl in
   let lint_findings =
@@ -275,7 +275,7 @@ let run ?taint ?rare_threshold ?prob_iters ?empirical ?prove ?prove_budget
         taint
     in
     Trace.with_span "check.rare" ~args:[ ("netlist", name) ] (fun () ->
-        Prob.analyse ?iters:prob_iters ?threshold:rare_threshold ?exclude nl)
+        Prob.analyse ?threshold:rare_threshold ?exclude nl)
   in
   let empirical_fs =
     match empirical with

@@ -47,7 +47,6 @@ val default_prove_budget : int
 val run :
   ?taint:taint_spec ->
   ?rare_threshold:float ->
-  ?prob_iters:int ->
   ?empirical:int ->
   ?prove:int ->
   ?prove_budget:int ->
@@ -68,10 +67,11 @@ val run :
     [prove] (off by default) escalates every [rare-net] Warning to an
     exact verdict.  All candidates are handed as one batch to the
     {!Thr_sat.Induction.prove} portfolio — shared incremental cone
-    encoding, CNF preprocessing, BMC base cases interleaved with
-    strengthened k-induction steps up to depth [prove], raced over
-    [jobs] domains — spending at most [prove_budget] (default
-    {!default_prove_budget}) solver steps per candidate.  A custom
+    encoding, a BMC sweep to depth [prove] and then strengthened
+    k-induction steps for the survivors, independent candidate clusters
+    spread over [jobs] domains without changing any verdict — spending
+    at most [prove_budget] (default {!default_prove_budget}) solver
+    steps per candidate.  A custom
     [prover] replaces the portfolio with a per-candidate callback:
 
     - {b proved reachable} — the Warning becomes an Error under rule

@@ -31,10 +31,6 @@ let xor_enable nl bus ~enable ~mask =
     (fun i n -> if (mask lsr i) land 1 = 1 then Netlist.xor_ nl n enable else n)
     bus
 
-let xor_mask nl bus mask =
-  let one = Netlist.const nl true in
-  xor_enable nl bus ~enable:one ~mask
-
 let counter nl ~width ~enable =
   (* Ripple-carry up-counter out of T flip-flops: bit i toggles when
      enable and all lower bits are 1.  Each T-FF is a registered feedback

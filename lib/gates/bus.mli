@@ -24,9 +24,6 @@ val eq : Netlist.t -> t -> t -> Netlist.net
 (** Equality of two same-width buses.
     @raise Invalid_argument on width mismatch. *)
 
-val xor_mask : Netlist.t -> t -> int -> t
-(** XOR every bit selected by the mask with an enable... see [xor_enable]. *)
-
 val xor_enable : Netlist.t -> t -> enable:Netlist.net -> mask:int -> t
 (** Bus whose masked bits are flipped when [enable] is high — the
     memory-less XOR payload of Fig. 2. *)

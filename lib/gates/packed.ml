@@ -244,12 +244,6 @@ let batch ~prng ?(cycles = 1) ?(activity = 1.0) n =
     b_activity = activity;
   }
 
-let batch_size b = b.b_n
-
-let batch_cycles b = b.b_cycles
-
-let batch_activity b = b.b_activity
-
 (* Full-activity stimulus is counter-based: one hashed lane word per
    (global lane-word index, cycle, input ordinal), so driving [lanes]
    vectors costs ONE hash instead of [lanes] generator draws — with 512

@@ -136,12 +136,6 @@ val batch : prng:Thr_util.Prng.t -> ?cycles:int -> ?activity:float -> int -> bat
     @raise Invalid_argument if [n < 0], [cycles < 1] or
     [activity] outside (0, 1]. *)
 
-val batch_size : batch -> int
-
-val batch_cycles : batch -> int
-
-val batch_activity : batch -> float
-
 type outputs = {
   out_names : string array;          (** primary outputs, declaration order *)
   out_bits : bool array array;       (** [out_bits.(vector).(output)] *)

@@ -82,5 +82,3 @@ let output t nm =
       invalid_arg (Printf.sprintf "Sim.output: unknown output %S" nm)
 
 let peek t net = t.values.(Netlist.net_index net)
-
-let dff_state t = Array.copy t.dffs

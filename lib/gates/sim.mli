@@ -41,6 +41,3 @@ val output : t -> string -> bool
 
 val peek : t -> Netlist.net -> bool
 (** Value of any net after the last [settle]/[clock]. *)
-
-val dff_state : t -> bool array
-(** Snapshot of the DFF values (copy). *)

@@ -99,13 +99,16 @@ let fresh t kind idx =
 
 let viol_tol = 1e-4
 
+(* cuts returned per family and call *)
+let max_cuts = 20
+
 (* Grow a clique greedily from each packing row: members sorted by x*
    descending, candidates are vars adjacent to every current member.
    Emit when the clique's x* mass exceeds 1.  A violated clique cannot
    be contained in a single packing row (the LP point satisfies every
    row), so the violation test alone guarantees the cut is new
    structure. *)
-let separate_cliques t x ~max_cuts =
+let separate_cliques t x =
   let cuts = ref [] in
   let n_found = ref 0 in
   (* candidate pool: fractional-or-one binary vars touched by packing
@@ -164,7 +167,7 @@ let separate_cliques t x ~max_cuts =
 (* Minimal cover cuts: pick items by descending x* until the capacity is
    exceeded, drop redundant items, and keep the cut when the LP point
    violates  Σ_C x_j <= |C| - 1,  i.e.  Σ_C (1 - x*_j) < 1. *)
-let separate_covers t x ~max_cuts =
+let separate_covers t x =
   let cuts = ref [] in
   let n_found = ref 0 in
   (try
@@ -220,5 +223,4 @@ let separate_covers t x ~max_cuts =
    with Exit -> ());
   !cuts
 
-let separate ?(max_cuts = 20) t x =
-  separate_cliques t x ~max_cuts @ separate_covers t x ~max_cuts
+let separate t x = separate_cliques t x @ separate_covers t x

@@ -27,8 +27,8 @@ type t
 
 val prepare : Model.t -> t
 
-val separate : ?max_cuts:int -> t -> float array -> cut list
+val separate : t -> float array -> cut list
 (** [separate t x] returns cuts violated by the fractional point [x]
-    (indexed by {!Model.var_index}) by more than [1e-4], at most
-    [max_cuts] (default 20) per family, never repeating a cut already
-    returned by an earlier call on [t]. *)
+    (indexed by {!Model.var_index}) by more than [1e-4], at most 20 per
+    family, never repeating a cut already returned by an earlier call on
+    [t]. *)

@@ -75,8 +75,11 @@ let most_fractional ~eps ?filter values =
       let j = scan ~restricted:true in
       if j >= 0 then j else scan ~restricted:false
 
+(* separation/re-solve rounds of the root cutting-plane loop *)
+let max_cut_rounds = 8
+
 let solve ?(max_nodes = 100_000) ?(eps = 1e-6) ?priority ?(warm = true)
-    ?(cuts = true) ?(cut_rounds = 8) ?(dive = true)
+    ?(cuts = true) ?(dive = true)
     ?(should_stop = fun () -> false) m =
   let nv = Model.n_vars m in
   let filter =
@@ -108,7 +111,7 @@ let solve ?(max_nodes = 100_000) ?(eps = 1e-6) ?priority ?(warm = true)
     match cut_state with
     | None -> sol
     | Some cs ->
-        if round >= cut_rounds then sol
+        if round >= max_cut_rounds then sol
         else begin
           match Cuts.separate cs sol.Simplex.values with
           | [] -> sol

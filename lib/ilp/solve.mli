@@ -44,7 +44,6 @@ val solve :
   ?priority:Model.var list ->
   ?warm:bool ->
   ?cuts:bool ->
-  ?cut_rounds:int ->
   ?dive:bool ->
   ?should_stop:(unit -> bool) ->
   Model.t ->
@@ -61,9 +60,9 @@ val solve :
 
     [cuts] (default [true]) runs a root cutting-plane loop before
     branching: {!Cuts} clique and cover cuts violated by the fractional
-    root optimum are appended to the relaxation and it is re-solved, up
-    to [cut_rounds] (default [8]) separation rounds.  Cuts never exclude
-    an integer-feasible point, so the optimum is unchanged.
+    root optimum are appended to the relaxation and it is re-solved, for
+    up to 8 separation rounds.  Cuts never exclude an integer-feasible
+    point, so the optimum is unchanged.
 
     [dive] (default [true]) runs a rounding dive from the root optimum —
     repeatedly fixing the most fractional integer variable to its

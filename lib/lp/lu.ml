@@ -47,8 +47,6 @@ type t = {
 
 let n_etas t = t.n_etas
 
-let factor_nnz t = t.lptr.(t.n) + t.uptr.(t.n) + t.n
-
 (* --- growable arrays (module-local, no deps) --- *)
 
 type ibuf = { mutable ia : int array; mutable ilen : int }

@@ -43,6 +43,3 @@ val update : t -> r:int -> float array -> unit
 val n_etas : t -> int
 (** Etas appended since factorisation — the caller's refactorisation
     trigger. *)
-
-val factor_nnz : t -> int
-(** Nonzeros stored in L and U (diagonal included). *)

@@ -1,7 +1,6 @@
 module Json = Thr_util.Json
 
 type counter = { c_val : int Atomic.t }
-type gauge = { g_val : float Atomic.t }
 
 type histogram = {
   bounds : float array; (* strictly increasing, finite *)
@@ -10,7 +9,7 @@ type histogram = {
   h_sum : float Atomic.t;
 }
 
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Histogram of histogram
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 32
 let reg_mutex = Mutex.create ()
@@ -58,17 +57,6 @@ let counter name =
 let incr c = Atomic.incr c.c_val
 let add c n = ignore (Atomic.fetch_and_add c.c_val n)
 let counter_value c = Atomic.get c.c_val
-
-let gauge name =
-  register name
-    (fun () ->
-      let g = { g_val = Atomic.make 0.0 } in
-      (g, Gauge g))
-    (function Gauge g -> Some g | _ -> None)
-    "gauge"
-
-let set_gauge g v = Atomic.set g.g_val v
-let gauge_value g = Atomic.get g.g_val
 
 (* millisecond-latency scale by default *)
 let default_buckets =
@@ -131,7 +119,6 @@ let snapshot () =
     (fun (name, m) ->
       match m with
       | Counter c -> [ (name, float_of_int (counter_value c)) ]
-      | Gauge g -> [ (name, gauge_value g) ]
       | Histogram h ->
           [
             (name ^ "_count", float_of_int (histogram_count h));
@@ -149,9 +136,6 @@ let to_prometheus () =
       | Counter c ->
           Printf.bprintf buf "# TYPE %s counter\n%s %d\n" name name
             (counter_value c)
-      | Gauge g ->
-          Printf.bprintf buf "# TYPE %s gauge\n%s %g\n" name name
-            (gauge_value g)
       | Histogram h ->
           Printf.bprintf buf "# TYPE %s histogram\n" name;
           let cum = ref 0 in
@@ -172,7 +156,6 @@ let to_json () =
        (fun (name, m) ->
          match m with
          | Counter c -> (name, Json.Int (counter_value c))
-         | Gauge g -> (name, Json.Float (gauge_value g))
          | Histogram h ->
              ( name,
                Json.Obj
@@ -200,7 +183,6 @@ let reset () =
         (fun _ m ->
           match m with
           | Counter c -> Atomic.set c.c_val 0
-          | Gauge g -> Atomic.set g.g_val 0.0
           | Histogram h ->
               Array.iter (fun b -> Atomic.set b 0) h.buckets;
               Atomic.set h.h_count 0;

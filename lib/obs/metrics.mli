@@ -1,4 +1,4 @@
-(** Process-wide metrics registry: typed counters, gauges and fixed-bucket
+(** Process-wide metrics registry: typed counters and fixed-bucket
     histograms with atomic updates, rendered as Prometheus text-format or
     JSON.
 
@@ -9,17 +9,12 @@
     ([Atomic]), so counters stay exact under [Dpool] fan-out. *)
 
 type counter
-type gauge
 type histogram
 
 val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-
-val gauge : string -> gauge
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val default_buckets : float array
 (** The bucket boundaries used when [histogram] is given none: strictly
@@ -52,7 +47,7 @@ val to_prometheus : unit -> string
     and cumulative histogram buckets. *)
 
 val to_json : unit -> Thr_util.Json.t
-(** Name-sorted object: counters as ints, gauges as floats, histograms as
+(** Name-sorted object: counters as ints, histograms as
     [{"count": .., "sum": .., "buckets": [{"le": .., "n": ..}, ..]}]. *)
 
 val reset : unit -> unit

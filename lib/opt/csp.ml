@@ -180,9 +180,6 @@ let area_lower_bound inst ~allowed =
   in
   area_lb ~needed inst ~allowed
 
-let area_lower_bound_ctx ctx ~allowed =
-  area_lb ~needed:ctx.needed ctx.inst ~allowed
-
 (* The search runs in two nested phases sharing one node budget:
 
    Phase A assigns a vendor to every copy — a pure graph colouring over

@@ -44,9 +44,6 @@ val solve :
 (** [solve inst ~allowed] is [solve_ctx (make_ctx inst) ~allowed] — one-shot
     convenience; use a [ctx] when probing many licence sets. *)
 
-val area_lower_bound_ctx : ctx -> allowed:bool array array -> int option
-(** As {!area_lower_bound}, using the bounds cached in the context. *)
-
 val area_lower_bound : Instance.t -> allowed:bool array array -> int option
 (** A cheap lower bound on the instance area any design restricted to
     [allowed] must occupy (minimum instance counts forced by the latency

@@ -123,5 +123,3 @@ let vendor_index t v =
   in
   go 0
 
-let copies_of_type t ti =
-  Array.fold_left (fun acc x -> if x = ti then acc + 1 else acc) 0 t.type_of_copy

@@ -30,6 +30,3 @@ val make : Thr_hls.Spec.t -> t
 
 val vendor_index : t -> Thr_iplib.Vendor.t -> int
 (** @raise Not_found if the vendor is not in the catalogue. *)
-
-val copies_of_type : t -> int -> int
-(** Number of copies whose resource class has the given type index. *)

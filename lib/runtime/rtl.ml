@@ -531,10 +531,9 @@ let canned_sequential_injection ~width design =
       let op = List.hd (Dfg.outputs dfg) in
       inj (Copy.index spec { Copy.op; phase = Copy.NC }) 1
 
-let check ?rare_threshold ?prob_iters ?empirical ?prove ?prove_budget ?prover
-    ?jobs t =
-  Check.run ~taint:(taint_spec t) ?rare_threshold ?prob_iters ?empirical
-    ?prove ?prove_budget ?prover ?jobs t.netlist
+let check ?rare_threshold ?empirical ?prove ?prove_budget ?prover ?jobs t =
+  Check.run ~taint:(taint_spec t) ?rare_threshold ?empirical ?prove
+    ?prove_budget ?prover ?jobs t.netlist
 
 type result = {
   r_mismatch : bool;

@@ -118,7 +118,6 @@ val canned_dud_injection : width:int -> Thr_hls.Design.t -> Engine.injection
 
 val check :
   ?rare_threshold:float ->
-  ?prob_iters:int ->
   ?empirical:int ->
   ?prove:int ->
   ?prove_budget:int ->

@@ -37,8 +37,6 @@ type frame = {
   f_depth : int; (* 1-based frame number *)
 }
 
-let var_idx f i = f.f_vars.(i)
-
 let var f net = f.f_vars.(Netlist.net_index net)
 
 let inputs f = f.f_inputs

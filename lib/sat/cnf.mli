@@ -70,9 +70,6 @@ val var : frame -> Thr_gates.Netlist.net -> int
 (** The DIMACS variable of a net in this frame; [0] if the net is
     outside the cone. *)
 
-val var_idx : frame -> int -> int
-(** {!var} by {!Thr_gates.Netlist.net_index}. *)
-
 val inputs : frame -> (string * int) array
 (** Every primary input of the netlist, declaration order, with its
     frame variable ([0] when the input does not feed the cone — any

@@ -27,7 +27,6 @@ let m_certificates = Metrics.counter "thr_sat_certificates_total"
 type ctx = {
   nl : Netlist.t;
   cone : bool array; (* union cone of the whole batch *)
-  preprocess : bool;
   targets : Netlist.net list; (* frozen in every preprocessed frame *)
   base : Solver.t;
   mutable base_frames : Cnf.frame list; (* newest first *)
@@ -121,7 +120,7 @@ let distinct s fa fb =
 let step_frame ctx m =
   while List.length ctx.step_frames < m do
     let deep = ctx.step_frames = [] in
-    let pp = if ctx.preprocess && deep then Some ctx.step_pp else None in
+    let pp = if deep then Some ctx.step_pp else None in
     let prev = match ctx.step_frames with [] -> None | p :: _ -> Some p in
     let f = encode ctx ctx.step ~pp ~free_state:deep ~prev in
     List.iter (fun g -> distinct ctx.step f g) ctx.step_frames;
@@ -129,12 +128,11 @@ let step_frame ctx m =
   done;
   nth_frame ctx.step_frames m
 
-let make_ctx ~preprocess ~cone nl cands =
+let make_ctx ~cone nl cands =
   let roots = Array.to_list (Array.map fst cands) in
   {
     nl;
     cone;
-    preprocess;
     targets = roots;
     base = Solver.create ();
     base_frames = [];
@@ -143,8 +141,8 @@ let make_ctx ~preprocess ~cone nl cands =
     step_frames = [];
   }
 
-(* per-candidate budget, metered as the candidate's share of one
-   solver's step counter; [spent] belongs to a single phase *)
+(* per-candidate budget, metered as the candidate's share of the step
+   counters of the solvers it queries; one [spent] covers both phases *)
 let solve_metered ~budget spent i s phase asms =
   match budget with
   | Some b when b - spent.(i) <= 0 -> Solver.Unknown
@@ -199,15 +197,10 @@ let comb_mask nl ~cone cands =
    decides every reachable candidate before any (expensive, free-init)
    step query is worth running.  Writes Reachable / Inconclusive /
    depth-0 certificates into [outcome]; a candidate still [None]
-   afterwards is clean through [bound].  Every decision also raises the
-   candidate's [decided] flag so a step phase racing on another domain
-   can drop it. *)
-let base_phase ~bound ~budget ctx cands comb outcome spent decided =
+   afterwards is clean through [bound]. *)
+let base_phase ~bound ~budget ctx cands comb outcome spent =
   let n = Array.length cands in
-  let settle i o =
-    outcome.(i) <- Some o;
-    Atomic.set decided.(i) true
-  in
+  let settle i o = outcome.(i) <- Some o in
   let f1 = base_frame ctx 1 in
   Array.iteri
     (fun i (net, value) ->
@@ -257,15 +250,12 @@ let base_phase ~bound ~budget ctx cands comb outcome spent decided =
       (undecided ())
   done
 
-(* Step phase: deepen k until each live candidate's step query closes
-   (cert at k), its budget dies, or the bound is hit.  Only candidates
-   passing [eligible] are attempted; a [decided] flag raised by a
-   concurrent base phase retires a candidate between queries.  A
-   recorded cert is only a proof together with a clean base case through
-   the same depth — the merge below checks that. *)
-let step_phase ~bound ~budget ctx cands comb ~eligible cert spent decided =
-  let n = Array.length cands in
-  let alive = Array.init n (fun i -> eligible i && not comb.(i)) in
+(* Step phase, for the candidates the base sweep left clean through
+   [bound]: deepen k until each one's step query closes (a certificate
+   at k — sound because its base case is clean through [bound] >= k),
+   its budget dies, or the bound is hit. *)
+let step_phase ~bound ~budget ctx cands outcome spent =
+  let alive = Array.map Option.is_none outcome in
   let any_alive () = Array.exists Fun.id alive in
   let k = ref 0 in
   while any_alive () && !k < bound do
@@ -273,134 +263,44 @@ let step_phase ~bound ~budget ctx cands comb ~eligible cert spent decided =
     ignore (step_frame ctx (!k + 1));
     Array.iteri
       (fun i (net, value) ->
-        if alive.(i) then
-          if Atomic.get decided.(i) then alive.(i) <- false
-          else begin
-            let asms = ref [] in
-            for j = 1 to !k + 1 do
-              let tv = target_var (nth_frame ctx.step_frames j) net in
-              let b = if value then tv else -tv in
-              asms := (if j <= !k then -b else b) :: !asms
-            done;
-            match solve_metered ~budget spent i ctx.step `Step !asms with
-            | Solver.Unsat ->
-                cert.(i) <- Some !k;
-                alive.(i) <- false
-            | Solver.Unknown ->
-                (* induction abandoned; the bounded verdict stands *)
-                alive.(i) <- false
-            | Solver.Sat -> ()
-          end)
+        if alive.(i) then begin
+          let asms = ref [] in
+          for j = 1 to !k + 1 do
+            let tv = target_var (nth_frame ctx.step_frames j) net in
+            let b = if value then tv else -tv in
+            asms := (if j <= !k then -b else b) :: !asms
+          done;
+          match solve_metered ~budget spent i ctx.step `Step !asms with
+          | Solver.Unsat ->
+              Metrics.incr m_certificates;
+              outcome.(i) <-
+                Some
+                  (Bmc.Unreachable_unbounded
+                     { Bmc.c_depth = !k; c_method = "k-induction" });
+              alive.(i) <- false
+          | Solver.Unknown ->
+              (* induction abandoned; the bounded verdict stands *)
+              alive.(i) <- false
+          | Solver.Sat -> ()
+        end)
       cands
   done
 
-(* A step cert is trusted only for candidates whose base sweep came back
-   clean through [bound] (outcome still [None]) — base decisions always
-   win, so the merged array is independent of race timing. *)
-let merge ~bound outcome cert =
-  Array.mapi
-    (fun i o ->
-      match o with
-      | Some r -> r
-      | None -> (
-          match cert.(i) with
-          | Some k ->
-              Metrics.incr m_certificates;
-              Bmc.Unreachable_unbounded { Bmc.c_depth = k; c_method = "k-induction" }
-          | None -> Bmc.Unreachable bound))
-    outcome
-
-let span_args nl n mode =
-  [
-    ("netlist", Netlist.name nl);
-    ("candidates", string_of_int n);
-    ("mode", mode);
-  ]
-
-(* Sequential: base sweep to [bound] first, induction only for the
+(* One cluster: base sweep to [bound] first, induction only for the
    survivors, one [spent] meter across both phases. *)
-let solve_chunk ~bound ~budget ~preprocess nl cands =
+let solve_cluster ~bound ~budget nl cands =
   let n = Array.length cands in
-  Trace.with_span "sat.induction" ~args:(span_args nl n "sequential")
+  Trace.with_span "sat.induction"
+    ~args:[ ("netlist", Netlist.name nl); ("candidates", string_of_int n) ]
     (fun () ->
       let cone = union_cone nl cands in
       let comb = comb_mask nl ~cone cands in
-      let ctx = make_ctx ~preprocess ~cone nl cands in
+      let ctx = make_ctx ~cone nl cands in
       let outcome : Bmc.outcome option array = Array.make n None in
-      let cert = Array.make n None in
       let spent = Array.make n 0 in
-      let decided = Array.init n (fun _ -> Atomic.make false) in
-      base_phase ~bound ~budget ctx cands comb outcome spent decided;
-      step_phase ~bound ~budget ctx cands comb
-        ~eligible:(fun i -> outcome.(i) = None)
-        cert spent decided;
-      merge ~bound outcome cert)
-
-(* Racing: the base and step solvers are independent objects mutated by
-   disjoint phases, so they run on two domains at once — wall-clock is
-   max(base, step) instead of their sum.  The step side attempts every
-   sequential candidate and retires those the base sweep decides; with
-   no budget the merged outcomes are bit-identical to the sequential
-   ones (certs are semantic: the least k whose step query is Unsat).
-   Under a budget each phase meters the full allowance on its own
-   counter, so verdicts may differ from [jobs = 1]. *)
-let solve_racing ~bound ~budget ~preprocess nl cands =
-  let n = Array.length cands in
-  Trace.with_span "sat.induction" ~args:(span_args nl n "racing")
-    (fun () ->
-      let cone = union_cone nl cands in
-      let comb = comb_mask nl ~cone cands in
-      let ctx = make_ctx ~preprocess ~cone nl cands in
-      let outcome : Bmc.outcome option array = Array.make n None in
-      let cert = Array.make n None in
-      let base_spent = Array.make n 0 in
-      let step_spent = Array.make n 0 in
-      let decided = Array.init n (fun _ -> Atomic.make false) in
-      let (), () =
-        Dpool.run ~jobs:2 (fun pool ->
-            Dpool.both pool
-              (fun () ->
-                base_phase ~bound ~budget ctx cands comb outcome base_spent
-                  decided)
-              (fun () ->
-                step_phase ~bound ~budget ctx cands comb
-                  ~eligible:(fun _ -> true)
-                  cert step_spent decided))
-      in
-      merge ~bound outcome cert)
-
-(* Chunking duplicates the shared-cone encode, so it only pays for big
-   batches; below [chunk_min] per domain the portfolio parallelises
-   across its two solvers instead. *)
-let chunk_min = 32
-
-let solve ~bound ~budget ~jobs ~preprocess nl cands =
-  let n = Array.length cands in
-  let jobs = max 1 (min jobs n) in
-  let chunks_wanted = min jobs (n / chunk_min) in
-  if jobs = 1 then solve_chunk ~bound ~budget ~preprocess nl cands
-  else if chunks_wanted < 2 then
-    solve_racing ~bound ~budget ~preprocess nl cands
-  else begin
-    (* contiguous chunks in candidate order: the concatenation below
-       restores input order whatever the domain scheduling *)
-    let base_sz = n / chunks_wanted and rem = n mod chunks_wanted in
-    let chunks = ref [] in
-    let start = ref 0 in
-    for c = 0 to chunks_wanted - 1 do
-      let sz = base_sz + if c < rem then 1 else 0 in
-      if sz > 0 then chunks := Array.sub cands !start sz :: !chunks;
-      start := !start + sz
-    done;
-    let chunks = List.rev !chunks in
-    let parts =
-      Dpool.run ~jobs:chunks_wanted (fun pool ->
-          Dpool.map pool
-            (fun c -> solve_chunk ~bound ~budget ~preprocess nl c)
-            chunks)
-    in
-    Array.concat parts
-  end
+      base_phase ~bound ~budget ctx cands comb outcome spent;
+      step_phase ~bound ~budget ctx cands outcome spent;
+      Array.map (function Some o -> o | None -> Bmc.Unreachable bound) outcome)
 
 (* A shared context only pays when the batch's cones actually overlap: a
    batch mixing a wide shallow cone with a narrow deep one unrolls the
@@ -409,63 +309,81 @@ let solve ~bound ~budget ~jobs ~preprocess nl cands =
    running union its cone resembles (Jaccard >= 1/2), else opens its
    own — keeps homogeneous batches (one trigger chain's worth of nets)
    in a single context while splitting genuinely unrelated cones.
-   Purely index-based, so outcomes scatter back in input order and the
-   result is independent of [jobs]. *)
+   Each test and join walks only the candidate's own cone indices, and a
+   cluster's union size is kept up to date as its bits are set. *)
 let clusters nl cands =
-  let masks =
+  let cones =
     Array.map
       (fun (net, _) ->
-        Netlist.in_cone nl ~through_dffs:true ~roots:[ net ] ())
+        Array.of_list
+          (Netlist.fold_cone nl ~through_dffs:true ~roots:[ net ]
+             (fun acc n -> Netlist.net_index n :: acc)
+             []))
       cands
   in
-  let size = Array.fold_left (fun a b -> if b then a + 1 else a) 0 in
-  let sizes = Array.map size masks in
+  let n_nets = Netlist.n_nets nl in
   (* each cluster: member indices (reversed), running union, its size *)
   let cls : (int list * bool array * int) list ref = ref [] in
   Array.iteri
-    (fun i m ->
+    (fun i cone ->
+      let size = Array.length cone in
       let inter u =
-        let c = ref 0 in
-        Array.iteri (fun j b -> if b && u.(j) then incr c) m;
-        !c
+        Array.fold_left (fun c j -> if u.(j) then c + 1 else c) 0 cone
+      in
+      let join u =
+        Array.fold_left
+          (fun c j ->
+            if u.(j) then c
+            else begin
+              u.(j) <- true;
+              c + 1
+            end)
+          0 cone
       in
       let rec place = function
         | [] -> None
         | ((_, u, usz) as c) :: rest ->
             let it = inter u in
-            if 2 * it >= usz + sizes.(i) - it then Some (c, rest)
+            if 2 * it >= usz + size - it then Some (c, rest)
             else
               Option.map
                 (fun (hit, others) -> (hit, c :: others))
                 (place rest)
       in
       match place !cls with
-      | Some ((members, u, _), rest) ->
-          Array.iteri (fun j b -> if b then u.(j) <- true) m;
-          cls := (i :: members, u, size u) :: rest
-      | None -> cls := !cls @ [ ([ i ], Array.copy m, sizes.(i)) ])
-    masks;
+      | Some ((members, u, usz), rest) ->
+          cls := (i :: members, u, usz + join u) :: rest
+      | None ->
+          let u = Array.make n_nets false in
+          cls := !cls @ [ ([ i ], u, join u) ])
+    cones;
   List.map (fun (members, _, _) -> List.rev members) !cls
 
-let prove ?(bound = Bmc.default_bound) ?budget ?(jobs = 1)
-    ?(preprocess = true) nl cands =
+(* Clusters share nothing but the finalised netlist, so they fan out
+   over the pool whole; outcomes scatter back in input order and, each
+   cluster keeping its own solvers and meters, are the same for any
+   [jobs]. *)
+let prove ?(bound = Bmc.default_bound) ?budget ?(jobs = 1) nl cands =
   Netlist.finalise nl;
   if bound < 1 then invalid_arg "Induction.prove: bound < 1";
   let n = Array.length cands in
-  if n = 0 then [||]
-  else begin
-    let cls = clusters nl cands in
-    match cls with
-    | [ _ ] -> solve ~bound ~budget ~jobs ~preprocess nl cands
-    | _ ->
-        let out = Array.make n (Bmc.Unreachable bound) in
-        List.iter
-          (fun members ->
-            let sub =
-              Array.of_list (List.map (fun i -> cands.(i)) members)
-            in
-            let res = solve ~bound ~budget ~jobs ~preprocess nl sub in
-            List.iteri (fun j i -> out.(i) <- res.(j)) members)
-          cls;
-        out
-  end
+  let solve = solve_cluster ~bound ~budget nl in
+  match clusters nl cands with
+  | [] -> [||]
+  | [ _ ] -> solve cands
+  | cls ->
+      let subs =
+        List.map
+          (fun members -> Array.of_list (List.map (fun i -> cands.(i)) members))
+          cls
+      in
+      let res =
+        Dpool.run
+          ~jobs:(max 1 (min jobs (List.length cls)))
+          (fun pool -> Dpool.map pool solve subs)
+      in
+      let out = Array.make n (Bmc.Unreachable bound) in
+      List.iter2
+        (fun members r -> List.iteri (fun j i -> out.(i) <- r.(j)) members)
+        cls res;
+      out

@@ -1,4 +1,4 @@
-(** A parallel prover portfolio: strengthened k-induction over the
+(** A prover portfolio: strengthened k-induction over the
     {!Cnf} unrolling, with {!Preprocess}-simplified frames and one
     shared incremental cone context per batch of candidates.
 
@@ -33,27 +33,27 @@
     entirely: one frame decides reachability for all time and an
     [Unsat] is a depth-0 ["combinational"] certificate.
 
-    The base sweep always runs to [bound] before a verdict is merged:
-    reachable candidates are decided by the cheap pinned-init solver and
-    a step certificate is only trusted together with the clean base case
-    through its depth.
+    Each cluster runs one way: the base sweep to [bound] first —
+    reachable candidates are decided by the cheap pinned-init solver —
+    then the step phase for the survivors only, so a step certificate
+    always rests on a clean base case through its depth.  The step
+    solver's first frame, whose clauses chain into every deeper
+    induction query, goes in via {!Preprocess.simplify} with the frame
+    boundary (inputs, state, next-state and target variables) frozen;
+    every other frame, and all of the base solver's, goes in raw, which
+    keeps witness extraction free of model reconstruction.
 
-    With [jobs > 1] the two solvers race on two domains — wall-clock
-    max(base, step) instead of their sum — and the step side retires a
-    candidate as soon as the base sweep decides it.  Batches large
-    enough to amortise the duplicated cone encode (32 candidates per
-    domain) are instead split into contiguous chunks across a
-    {!Thr_util.Dpool}.  Either way results are merged back in input
-    order and, without a budget, are bit-identical to the [jobs = 1]
-    outcomes whatever the domain scheduling.  Runs under
-    ["sat.induction"] trace spans and bumps [thr_sat_certificates_total]
-    per closed proof. *)
+    With [jobs > 1] whole clusters fan out over a {!Thr_util.Dpool} of
+    at most one domain per cluster; each keeps its own solvers, so
+    outcomes (in input order) and solver-counter totals are the same
+    for any [jobs], with or without a budget.  Runs under
+    ["sat.induction"] trace spans, one per cluster, and bumps
+    [thr_sat_certificates_total] per closed proof. *)
 
 val prove :
   ?bound:int ->
   ?budget:int ->
   ?jobs:int ->
-  ?preprocess:bool ->
   Thr_gates.Netlist.t ->
   (Thr_gates.Netlist.net * bool) array ->
   Bmc.outcome array
@@ -69,16 +69,8 @@ val prove :
     solvers; a base-case exhaustion yields [Inconclusive] exactly as in
     {!Bmc.check_net}, while a step-case exhaustion merely abandons the
     induction attempt for that candidate and leaves its bounded verdict
-    standing.  At [jobs = 1] the base sweep runs to [bound] {e before}
-    any step query, and one meter covers both phases; at [jobs > 1] the
-    racing phases each meter the full allowance on their own counter, so
-    budget-starved verdicts may differ from the sequential ones.
-    [preprocess] (default [true]) routes the step solver's first frame —
-    the clauses every deep induction query chains through — via
-    {!Preprocess.simplify} with the frame boundary (inputs, state,
-    next-state and target variables) frozen; the base solver's frames
-    always go in raw, keeping shallow witness extraction free of model
-    reconstruction.  [jobs] (default 1) sizes the racing pool.
+    standing.  One meter covers both phases of a candidate.  [jobs]
+    (default 1) caps the domains the clusters fan out over.
 
     Finalises the netlist if needed.
     @raise Invalid_argument if [bound < 1]. *)

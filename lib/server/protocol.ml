@@ -15,12 +15,13 @@
      {"op":"shutdown"}
 
    Lint extras: "prove" escalates every rare-net finding to the prover
-   portfolio up to bound K (replayed witnesses, unbounded k-induction
-   certificates or bounded unreachability); "prove_budget" caps the
-   per-candidate solver steps and "jobs" sizes the portfolio's domain
-   pool.  The lint
-   response carries the process exit code a local `thls lint` would
-   return (0 clean / 4 findings / 5 proof budget exhausted).
+   portfolio up to bound K >= 1 (replayed witnesses, unbounded
+   k-induction certificates or bounded unreachability); "prove_budget"
+   caps the per-candidate solver steps and "jobs" (>= 1) caps the
+   domains the prover's independent candidate clusters fan out over;
+   verdicts do not depend on it.  The lint response carries the process
+   exit code a local `thls lint` would return (0 clean / 4 findings / 5
+   proof budget exhausted).
 
    Solve options (all optional unless noted):
      "dfg"              required DFG text (Thr_dfg.Parse syntax)
@@ -86,6 +87,13 @@ let field_int name j =
   | None | Some Json.Null -> Ok None
   | Some (Json.Int i) -> Ok (Some i)
   | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
+
+(* a count that must be at least 1 when given *)
+let field_pos name j =
+  match field_int name j with
+  | Ok (Some i) when i < 1 ->
+      Error (Printf.sprintf "field %S must be >= 1" name)
+  | r -> r
 
 let field_float name j =
   match Json.member name j with
@@ -180,9 +188,9 @@ let request_of_json j : (request, string * string) result =
                    trojan-dud)"
                   s
           in
-          let* prove = with_code (field_int "prove" j) in
+          let* prove = with_code (field_pos "prove" j) in
           let* prove_budget = with_code (field_int "prove_budget" j) in
-          let* lint_jobs = with_code (field_int "jobs" j) in
+          let* lint_jobs = with_code (field_pos "jobs" j) in
           Ok
             (Lint
                {

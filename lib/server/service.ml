@@ -31,7 +31,6 @@ type config = {
   persist_dir : string option;  (* on-disk second tier, None = memory only *)
   max_queue : int;  (* admission control: max in-flight solves *)
   default_deadline_ms : int option;  (* applied when a request names none *)
-  jobs : int;  (* domains per solve (Optimize.run ~jobs) *)
 }
 
 let default_config =
@@ -40,7 +39,6 @@ let default_config =
     persist_dir = None;
     max_queue = 16;
     default_deadline_ms = None;
-    jobs = 1;
   }
 
 type t = {
@@ -58,7 +56,6 @@ type t = {
 let create ?(config = default_config) () =
   if config.max_queue < 1 then
     invalid_arg "Service.create: max_queue must be >= 1";
-  if config.jobs < 1 then invalid_arg "Service.create: jobs must be >= 1";
   {
     config;
     cache = Cache.create ~capacity:config.capacity ?persist_dir:config.persist_dir ();
@@ -167,8 +164,7 @@ let solve_miss t (r : Protocol.solve) spec (key : Key.t) =
     Option.map (fun ms -> float_of_int ms /. 1000.0) deadline_ms
   in
   match
-    T.Optimize.run ~solver:r.Protocol.solver ?time_limit ~jobs:t.config.jobs
-      spec
+    T.Optimize.run ~solver:r.Protocol.solver ?time_limit ~jobs:1 spec
   with
   | Ok { T.Optimize.design; quality; seconds; candidates; _ } ->
       Cache.store t.cache ~key:key.Key.hash

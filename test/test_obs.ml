@@ -41,8 +41,8 @@ let test_name_canonicalisation () =
      find 0)
 
 let test_kind_clash () =
-  ignore (Metrics.gauge "test_kind_clash");
-  Alcotest.(check bool) "counter over gauge rejected" true
+  ignore (Metrics.histogram "test_kind_clash");
+  Alcotest.(check bool) "counter over histogram rejected" true
     (raises_invalid (fun () -> Metrics.counter "test_kind_clash"));
   Alcotest.(check bool) "empty name rejected" true
     (raises_invalid (fun () -> Metrics.counter ""));

@@ -607,13 +607,13 @@ let test_induction_fig2b_portfolio () =
     | _ -> Alcotest.fail (label ^ ": trigger-low must be immediate")
   in
   check_outcomes "jobs=1" (Induction.prove ~bound:8 nl cands);
-  (* raced base-vs-step across two domains: same outcomes, same order *)
+  (* a pool of two domains: same outcomes, same order *)
   check_outcomes "jobs=2" (Induction.prove ~bound:8 ~jobs:2 nl cands)
 
-(* Past 32 candidates per domain the portfolio splits contiguous chunks
-   across the pool instead of racing its two solvers; the merged array
-   must still be verdict-identical to the sequential run. *)
-let test_induction_chunked_determinism () =
+(* A 70-stage shift chain: the nested cones make one cluster, which runs
+   inline whatever [jobs] asks for; the array must be verdict-identical
+   to the sequential run. *)
+let test_induction_jobs_determinism () =
   let nl = Netlist.create ~name:"shift70" in
   let a = Netlist.input nl "a" in
   let stages = Array.make 70 a in
@@ -1634,7 +1634,7 @@ let pin_shape = function
       Printf.sprintf "C%d%c" c.Bmc.c_depth c.Bmc.c_method.[0]
   | Bmc.Inconclusive k -> Printf.sprintf "I%d" k
 
-let test_oracle_paper_pin () =
+let check_paper_pin ~jobs =
   let module Rtl = Thr_runtime.Rtl in
   let module Metrics = Thr_obs.Metrics in
   let counters =
@@ -1685,14 +1685,22 @@ let test_oracle_paper_pin () =
       let before = List.map Metrics.counter_value counters in
       let out =
         Induction.prove ~bound:8 ~budget:Thr_check.Check.default_prove_budget
-          ~jobs:1 rtl.Rtl.netlist cands
+          ~jobs rtl.Rtl.netlist cands
       in
-      let label = name ^ " " ^ mutant in
+      let label = Printf.sprintf "%s %s jobs=%d" name mutant jobs in
       Alcotest.(check string) (label ^ " outcomes") shapes
         (String.concat ";" (Array.to_list (Array.map pin_shape out)));
       Alcotest.(check (list int)) (label ^ " solver counters") deltas
         (List.map2 (fun c b -> Metrics.counter_value c - b) counters before))
     paper_pin
+
+let test_oracle_paper_pin () = check_paper_pin ~jobs:1
+
+(* Clusters fan out whole and keep their own solvers and meters, so the
+   budgeted [jobs = 1] pin holds verbatim on bigger pools. *)
+let test_paper_pin_jobs () =
+  check_paper_pin ~jobs:2;
+  check_paper_pin ~jobs:3
 
 let () =
   Alcotest.run "sat"
@@ -1749,8 +1757,8 @@ let () =
             test_induction_budget_inconclusive;
           Alcotest.test_case "fig2b portfolio, jobs 1 and 2" `Quick
             test_induction_fig2b_portfolio;
-          Alcotest.test_case "chunked determinism, 70 candidates" `Quick
-            test_induction_chunked_determinism;
+          Alcotest.test_case "jobs-independent, 70 candidates" `Quick
+            test_induction_jobs_determinism;
           QCheck_alcotest.to_alcotest induction_agrees_with_bmc;
         ] );
       ( "oracle",
@@ -1763,5 +1771,7 @@ let () =
             test_oracle_random_3sat;
           Alcotest.test_case "paper benchmarks pinned" `Quick
             test_oracle_paper_pin;
+          Alcotest.test_case "paper pin holds at jobs 2 and 3" `Quick
+            test_paper_pin_jobs;
         ] );
     ]

@@ -345,7 +345,18 @@ let test_service_lint () =
   Alcotest.(check (option string)) "bad width" (Some "bad_request")
     (err_code
        (Service.handle_line s
-          (lint_line ~extra:[ ("width", Json.Int 2) ] poly_a)))
+          (lint_line ~extra:[ ("width", Json.Int 2) ] poly_a)));
+  Alcotest.(check (option string)) "prove 0" (Some "bad_request")
+    (err_code
+       (Service.handle_line s
+          (lint_line ~extra:[ ("prove", Json.Int 0) ] poly_a)));
+  Alcotest.(check (option string)) "jobs 0" (Some "bad_request")
+    (err_code
+       (Service.handle_line s
+          (lint_line ~extra:[ ("jobs", Json.Int 0) ] poly_a)));
+  (* ... and the service keeps serving lints after refusing them *)
+  Alcotest.(check (option string)) "lint after refusals" (Some "ok")
+    (Json.mem_str "status" (Service.handle_line s (lint_line poly_a)))
 
 let test_service_config_invalid () =
   Alcotest.check_raises "max_queue 0"
